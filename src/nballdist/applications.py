@@ -22,6 +22,7 @@ from .core import (
     BallGeometry,
     DivergentMomentError,
     DomainError,
+    PrecisionError,
     UnsupportedError,
     beta,
     beta_ext,
@@ -142,9 +143,15 @@ def _hardcore_h(geometry: BallGeometry, r_c: float, m: int) -> float:
             f"(n+1+m)/2 = {pm} hits a beta-function pole; this moment order is unsupported")
     p = (n + 1) / 2.0
     xc = (r_c / (2.0 * R)) ** 2
-    first = (2.0 * R) ** (n + m) / (n + m) * (beta_ext(p, pm) - inc_beta_ext(xc, pm, p))
-    second = r_c ** (n + m) / (n + m) * (beta(0.5, p) - inc_beta(xc, 0.5, p))
-    return first - second
+    try:
+        first = (2.0 * R) ** (n + m) / (n + m) * (beta_ext(p, pm) - inc_beta_ext(xc, pm, p))
+        second = r_c ** (n + m) / (n + m) * (beta(0.5, p) - inc_beta(xc, 0.5, p))
+        h = first - second
+    except OverflowError:
+        h = math.inf
+    if not (0.0 < h < math.inf):  # H of a positive density: over- or underflow
+        raise PrecisionError(f"hard-core moment order m = {m} is outside double-precision range")
+    return h
 
 
 def moment_hardcore(geometry: BallGeometry, r_c: float, m: int) -> float:

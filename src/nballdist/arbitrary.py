@@ -9,15 +9,15 @@ all orientations of the separation vector:
     f(s) = s^(n-1) * Int[angles, weights sin^k] Int[overlap cap]
            rho(R^T X) rho(R^T (X - S)) dX,     S = (0, ..., 0, s),
 
-and P_n(s) = f(s) / Int_0^2R f. The angular weights are absorbed exactly by
-Gauss-Legendre nodes in cos(theta_i) and uniform nodes in phi (quadrature,
-n = 2, 3) or by sampling orientations uniformly on the sphere (Monte Carlo,
-n = 2..6).
+and P_n(s) = f(s) / Int_0^2R f = f(s) / ((Int_B rho)^2 / 2): every pair lies
+at some distance, and the cap holds half of each overlap. The angular
+weights are absorbed exactly by Gauss-Legendre nodes in cos(theta_i) and
+uniform nodes in phi (quadrature, n = 2, 3) or by sampling orientations
+uniformly on the sphere (Monte Carlo, n = 2..6).
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,11 +29,16 @@ from .core import (
     DensityModel,
     DomainError,
     Gaussian,
+    GeneralCartesian,
     InvalidDensityError,
+    Uniform,
     UnsupportedError,
+    density_mass,
     density_value,
     log_gamma,
+    sphere_area,
 )
+from .montecarlo import _uniform_ball_points
 from .uniform import overlap_kernels
 
 __all__ = [
@@ -153,16 +158,6 @@ class MasterEstimate:
     error: float
 
 
-def _check_master_density(density: DensityModel) -> None:
-    if isinstance(density, Gaussian):
-        raise InvalidDensityError("the master formula assumes support inside the ball")
-
-
-def _angular_area(n: int) -> float:
-    """Total angular measure: the surface area of the unit (n-1)-sphere."""
-    return 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
-
-
 def _quad_levels(n: int, tol: float) -> tuple:
     if n == 2:
         if tol >= 1e-4:
@@ -177,15 +172,27 @@ def _quad_levels(n: int, tol: float) -> tuple:
     return (32, 16, 20, 20, 24)
 
 
+def _angular_rule(n: int, nodes: tuple) -> tuple:
+    """Rotations (last row: the direction) and weights of a ``_quad_levels``
+    rule: uniform in phi, times Gauss-Legendre in cos(theta) for n = 3."""
+    nphi = nodes[-1]
+    rots = _elementary_phi(n, 2.0 * math.pi * np.arange(nphi) / nphi)
+    if n == 2:
+        return rots, np.full(nphi, 2.0 * math.pi / nphi)
+    gl_c, gw_c = np.polynomial.legendre.leggauss(nodes[3])
+    rots = (_elementary_theta(3, 1, np.arccos(gl_c))[:, None] @ rots[None]).reshape(-1, 3, 3)
+    return rots, np.repeat(gw_c * 2.0 * math.pi / nphi, nphi)
+
+
 def _master_unnormalized_quad(geometry: BallGeometry, density: DensityModel,
                               s: float, nodes: tuple) -> float:
     n, R = geometry.dimension, geometry.radius
     if s >= 2.0 * R:
         return 0.0
     if n == 2:
-        nu, nv, nphi = nodes
+        nu, nv, _ = nodes
     else:
-        nu, nt, npsi, nct, nphi = nodes
+        nu, nt, npsi, _, _ = nodes
     gl_u, gw_u = np.polynomial.legendre.leggauss(nu)
     lo = math.asin(min(s / (2.0 * R), 1.0))
     uu = lo + (math.pi / 2.0 - lo) * (gl_u + 1.0) / 2.0
@@ -200,9 +207,6 @@ def _master_unnormalized_quad(geometry: BallGeometry, density: DensityModel,
         X[:, 0] = (w_perp[:, None] * gl_v[None, :]).ravel()
         X[:, 1] = np.repeat(xn, nv)
         Wc = ((wu * jac_u * w_perp)[:, None] * gw_v[None, :]).ravel()
-        phis = 2.0 * math.pi * np.arange(nphi) / nphi
-        rots = _elementary_phi(2, phis)
-        w_ang = np.full(nphi, 2.0 * math.pi / nphi)
     else:
         gl_t, gw_t = np.polynomial.legendre.leggauss(nt)
         tau = (gl_t + 1.0) / 2.0
@@ -219,19 +223,8 @@ def _master_unnormalized_quad(geometry: BallGeometry, density: DensityModel,
             (wu * jac_u)[:, None, None]
             * (w_perp[:, None, None] ** 2 * tau[None, :, None] * wt[None, :, None])
             * wpsi, (nu, nt, npsi)).ravel()
-        gl_c, gw_c = np.polynomial.legendre.leggauss(nct)
-        thetas = np.arccos(gl_c)
-        phis = 2.0 * math.pi * np.arange(nphi) / nphi
-        rots = np.empty((nct * nphi, 3, 3))
-        w_ang = np.empty(nct * nphi)
-        k = 0
-        for th, wth in zip(thetas, gw_c):
-            f_t = _elementary_theta(3, 1, th)
-            for ph in phis:
-                rots[k] = f_t @ _elementary_phi(3, ph)
-                w_ang[k] = wth * 2.0 * math.pi / nphi
-                k += 1
 
+    rots, w_ang = _angular_rule(n, nodes)
     S = np.zeros(n)
     S[-1] = s
     total = 0.0
@@ -255,108 +248,87 @@ def _sample_cap(geometry: BallGeometry, s: float, stream: CounterStream, count: 
         take = min(len(keep), count - got)
         xn[got:got + take] = keep[:take]
         got += take
-    out = np.empty((count, n))
-    out[:, -1] = xn
-    m = n - 1
-    z = stream.normals(count * m).reshape(count, m)
-    norm = np.sqrt(np.sum(z * z, axis=1))
-    norm[norm == 0.0] = 1.0
-    radii = np.sqrt(R * R - xn * xn) * stream.uniforms(count) ** (1.0 / m)
-    out[:, :-1] = z * (radii / norm)[:, None]
-    return out
-
-
-def _batched_rotations(n: int, dirs: np.ndarray) -> np.ndarray:
-    """Rotation matrices for a batch of unit direction vectors (their angles)."""
-    k = dirs.shape[0]
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    m = None
-    for i in range(n - 2, 0, -1):
-        perp = np.sqrt(np.sum(dirs[:, : i + 1] ** 2, axis=1))
-        theta = np.arctan2(perp, dirs[:, i + 1])
-        f = _elementary_theta(n, i, theta)
-        m = f if m is None else m @ f
-    f = _elementary_phi(n, phi)
-    return f if m is None else m @ f
+    perp = _uniform_ball_points(BallGeometry(n - 1, 1.0), stream, count)
+    return np.column_stack([perp * np.sqrt(R * R - xn * xn)[:, None], xn])
 
 
 def _master_unnormalized_mc(geometry: BallGeometry, density: DensityModel,
                             s: float, samples: int, stream: CounterStream) -> tuple:
     """Monte Carlo estimate of the unnormalized master integrand; returns
     (value, standard_error). Orientations are drawn from the exact angular
-    measure (uniform directions); cap points uniformly over the overlap cap,
-    whose exact volume rescales the density-product average."""
+    measure (uniform directions u); cap points uniformly over the overlap cap,
+    whose exact volume rescales the density-product average. The Householder
+    reflection H = I - 2 v v^T / v^T v, v = e_n - u, sends e_n to u; any such
+    map will do, as the cap distribution is O(n-1)-invariant."""
     n, R = geometry.dimension, geometry.radius
     if s >= 2.0 * R:
         return 0.0, 0.0
     q, _ = overlap_kernels(geometry, s)
     v_cap = math.pi ** ((n - 1) / 2.0) / math.exp(log_gamma((n + 1) / 2.0)) * q
-    scale = s ** (n - 1) * v_cap * _angular_area(n)
-    S = np.zeros(n)
-    S[-1] = s
+    scale = s ** (n - 1) * v_cap * sphere_area(n)
+
+    def draw(k):
+        z = stream.normals(k * n).reshape(k, n)
+        norm = np.sqrt(np.sum(z * z, axis=1))
+        norm[norm == 0.0] = 1.0
+        u = z / norm[:, None]
+        v = np.eye(n)[-1] - u
+        vv = np.sum(v * v, axis=1)
+        vv[vv == 0.0] = 1.0  # u = e_n: v = 0 and H is the identity
+        X = _sample_cap(geometry, s, stream, k)
+        HX = X - v * (2.0 * np.sum(X * v, axis=1) / vv)[:, None]
+        return density_value(density, HX, geometry) * density_value(density, HX - s * u, geometry)
+    mean, err = _chunked_mean(samples, draw)
+    return scale * mean, scale * err
+
+
+def _mass_quad(geometry: BallGeometry, density: DensityModel, nodes: tuple) -> float:
+    """Int_B rho by Gauss-Legendre nodes in r times the angular rule of ``nodes``."""
+    n, R = geometry.dimension, geometry.radius
+    gl_r, gw_r = np.polynomial.legendre.leggauss(nodes[0])
+    r = R * (gl_r + 1.0) / 2.0
+    rots, w_ang = _angular_rule(n, nodes)
+    pts = (r[:, None, None] * rots[None, :, -1, :]).reshape(-1, n)
+    w = np.outer(gw_r * R / 2.0 * r ** (n - 1), w_ang).ravel()
+    return float(np.sum(w * density_value(density, pts, geometry)))
+
+
+def _chunked_mean(samples: int, draw) -> tuple:
+    """Mean of ``samples`` values drawn ``draw(k)`` at a time, and its standard error."""
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         k = min(65536, samples - done)
-        z = stream.normals(k * n).reshape(k, n)
-        norm = np.sqrt(np.sum(z * z, axis=1))
-        norm[norm == 0.0] = 1.0
-        rots = _batched_rotations(n, z / norm[:, None])
-        X = _sample_cap(geometry, s, stream, k)
-        a = density_value(density, np.einsum("kj,kji->ki", X, rots), geometry)
-        b = density_value(density, np.einsum("kj,kji->ki", X - S, rots), geometry)
-        vals = a * b
+        vals = draw(k)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
         done += k
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
-    return scale * mean, scale * math.sqrt(var / samples)
-
-
-_master_norm_cache: dict = {}
-_master_norm_lock = threading.Lock()
+    return mean, math.sqrt(var / samples)
 
 
 def _master_norm(geometry: BallGeometry, density: DensityModel, method: str,
                  budget, seed: int) -> tuple:
-    key = (geometry, density, method, budget, seed)
-    with _master_norm_lock:
-        hit = _master_norm_cache.get(key)
-    if hit is not None:
-        return hit
-    R = geometry.radius
-    if method == "quadrature":
-        nodes, gw = np.polynomial.legendre.leggauss(48)
-        psi = (nodes + 1.0) * math.pi / 4.0
-        wpsi = gw * math.pi / 4.0
-        svals = 2.0 * R * np.sin(psi)
-        jac = 2.0 * R * np.cos(psi)
-        lv = _quad_levels(geometry.dimension, budget)
-        lv_lo = _quad_levels(geometry.dimension, budget * 1e4)
-        f_hi = np.array([_master_unnormalized_quad(geometry, density, s, lv) for s in svals])
-        f_lo = np.array([_master_unnormalized_quad(geometry, density, s, lv_lo) for s in svals])
-        norm = float(np.sum(wpsi * f_hi * jac))
-        err = abs(norm - float(np.sum(wpsi * f_lo * jac))) + 1e-13 * abs(norm)
+    """((Int_B rho)^2 / 2, its relative error 2 err_I / I); the mass I is
+    exact (err_I = 0) except for GeneralCartesian."""
+    if isinstance(density, GeneralCartesian):
+        if method == "quadrature":
+            n = geometry.dimension
+            mass = _mass_quad(geometry, density, _quad_levels(n, budget))
+            mass_err = abs(mass - _mass_quad(geometry, density, _quad_levels(n, budget * 1e4)))
+        else:
+            stream = CounterStream(seed, 2)
+            mean, err = _chunked_mean(budget, lambda k: density_value(
+                density, _uniform_ball_points(geometry, stream, k), geometry))
+            volume = density_mass(Uniform(), geometry)
+            mass, mass_err = volume * mean, volume * err
     else:
-        nodes, gw = np.polynomial.legendre.leggauss(16)
-        psi = (nodes + 1.0) * math.pi / 4.0
-        wpsi = gw * math.pi / 4.0
-        svals = 2.0 * R * np.sin(psi)
-        jac = 2.0 * R * np.cos(psi)
-        vals = np.empty(16)
-        errs = np.empty(16)
-        for i, s in enumerate(svals):
-            stream = CounterStream(seed, 1_000_000 + i)
-            vals[i], errs[i] = _master_unnormalized_mc(geometry, density, float(s),
-                                                       int(budget), stream)
-        norm = float(np.sum(wpsi * vals * jac))
-        err = float(math.sqrt(np.sum((wpsi * errs * jac) ** 2)))
-    result = (norm, err)
-    with _master_norm_lock:
-        _master_norm_cache.setdefault(key, result)
-    return _master_norm_cache[key]
+        mass, mass_err = density_mass(density, geometry), 0.0
+    if mass == 0.0:
+        raise InvalidDensityError("density integrates to zero over the ball")
+    return mass * mass / 2.0, 2.0 * mass_err / abs(mass)
 
 
 def pdf_master(geometry: BallGeometry, density: DensityModel, s: float,
@@ -366,35 +338,34 @@ def pdf_master(geometry: BallGeometry, density: DensityModel, s: float,
     ``method="quadrature"`` (n in {2, 3}) takes ``budget`` as an absolute
     tolerance target (default 1e-6); ``method="montecarlo"`` (n in {2..6})
     takes ``budget`` as the sample count per evaluation (default 200_000).
-    The curve-level normalization is computed once per (geometry, density,
-    method, budget, seed) and cached; racing initializers agree in value.
-    Returns the estimate together with a conservative error bound.
+    The curve is normalized by (Int_B rho)^2 / 2, exact except for
+    GeneralCartesian, whose mass is estimated by the same method and budget.
+    The error bound is the hi/lo quadrature difference or the Monte Carlo
+    standard error, plus the normalization's relative error times the value.
     """
     n = geometry.dimension
     if not (0.0 <= s <= geometry.diameter):
         raise DomainError(f"s={s!r} outside [0, {geometry.diameter}]")
-    _check_master_density(density)
+    if isinstance(density, Gaussian):
+        raise InvalidDensityError("the master formula assumes support inside the ball")
     if method == "quadrature":
         if n not in (2, 3):
             raise UnsupportedError("quadrature master formula covers n in {2, 3}")
         tol = 1e-6 if budget is None else float(budget)
         norm, norm_err = _master_norm(geometry, density, method, tol, seed)
-        f_hi = _master_unnormalized_quad(geometry, density, s, _quad_levels(n, tol))
+        f = _master_unnormalized_quad(geometry, density, s, _quad_levels(n, tol))
         f_lo = _master_unnormalized_quad(geometry, density, s, _quad_levels(n, tol * 1e4))
-        value = f_hi / norm
-        err = (abs(f_hi - f_lo) + 1e-13 * abs(f_hi)) / norm + abs(value) * norm_err / norm
-        return MasterEstimate(value=value, error=err)
-    if method == "montecarlo":
+        f_err = abs(f - f_lo) + 1e-13 * abs(f)
+    elif method == "montecarlo":
         if n not in (2, 3, 4, 5, 6):
             raise UnsupportedError("Monte Carlo master formula covers n in {2..6}")
         samples = 200_000 if budget is None else int(budget)
         norm, norm_err = _master_norm(geometry, density, method, samples, seed)
-        stream = CounterStream(seed, 1)
-        f, f_err = _master_unnormalized_mc(geometry, density, s, samples, stream)
-        value = f / norm
-        err = f_err / norm + abs(value) * norm_err / norm
-        return MasterEstimate(value=value, error=err)
-    raise UnsupportedError(f"unknown method {method!r}")
+        f, f_err = _master_unnormalized_mc(geometry, density, s, samples, CounterStream(seed, 1))
+    else:
+        raise UnsupportedError(f"unknown method {method!r}")
+    value = f / norm
+    return MasterEstimate(value=value, error=f_err / norm + abs(value) * norm_err)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,8 @@ def _write_manifest(base_output: str, subcommand: str, params: dict,
 
 def cmd_pdf(args) -> int:
     started = time.monotonic()
+    if args.grid < 1:
+        raise _UsageError(f"--grid must be at least 1, got {args.grid}")
     density = parse_density(args.density)
     geometry = BallGeometry(args.dimension, args.radius)
     evaluator = resolve_evaluator(geometry, density, args.representation)

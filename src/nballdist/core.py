@@ -52,6 +52,8 @@ __all__ = [
     "density_value",
     "density_radial_value",
     "density_bound",
+    "density_mass",
+    "sphere_area",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -309,6 +311,38 @@ def density_bound(model: DensityModel, geometry: BallGeometry) -> float:
             raise InvalidDensityError("radial polynomial is negative inside the ball")
         return float(np.max(vals)) * (1.0 + 1e-9) + 1e-300
     raise InvalidDensityError(f"no bound rule for {type(model).__name__}")
+
+
+def sphere_area(n: int) -> float:
+    """Surface area |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2) of the unit sphere in R^n."""
+    return 2.0 * math.pi ** (n / 2.0) / math.exp(math.lgamma(n / 2.0))
+
+
+def density_mass(model: DensityModel, geometry: BallGeometry) -> float:
+    """Exact mass Int_B rho of the unnormalized density over the ball: 1-D
+    polynomial integrals for radial models; for monomials Folland's
+    Int_{S^(n-1)} prod |x_i|^(e_i) = 2 prod Gamma(b_i) / Gamma(sum b_i),
+    b_i = (e_i + 1)/2, times R^(n+|e|)/(n+|e|)."""
+    n, R = geometry.dimension, geometry.radius
+    area = sphere_area(n)
+    if isinstance(model, Uniform):
+        return area * R ** n / n
+    if isinstance(model, RadialPolynomial):
+        return area * sum(c * R ** (n + k) / (n + k) for k, c in enumerate(model.coefficients))
+    if isinstance(model, ParabolicRadial):
+        return area * R ** n * (1.0 / n - model.alpha / (n + 2.0))
+    if isinstance(model, MultiShell):
+        edges = [0.0] + [min(float(r), R) ** n for r in model.radii]
+        return area / n * sum(float(d) * (b - a)
+                              for d, a, b in zip(model.densities, edges, edges[1:]))
+    if isinstance(model, CartesianMonomial):
+        if len(model.exponents) != n:
+            raise InvalidDensityError("exponent count does not match point dimension")
+        b = [(e + 1) / 2.0 for e in model.exponents]
+        etot = sum(model.exponents)
+        log_sphere = math.log(2.0) + sum(math.lgamma(v) for v in b) - math.lgamma(sum(b))
+        return math.exp(log_sphere) * R ** (n + etot) / (n + etot)
+    raise UnsupportedError(f"no closed-form mass for {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -609,4 +643,12 @@ def inc_beta_ext(x: float, p: float, q: float) -> float:
         raise DomainError(f"incomplete beta continuation has a pole at p={p!r}")
     if x == 0.0:
         return 0.0
-    return (x ** p * (1.0 - x) ** q + (p + q) * inc_beta_ext(x, p + 1.0, q)) / p
+    # unrolled from the innermost term, so deep orders need no recursion
+    steps = []
+    while p <= 0.0:
+        steps.append(p)
+        p += 1.0
+    out = inc_beta(x, p, q)
+    for p in reversed(steps):
+        out = (x ** p * (1.0 - x) ** q + (p + q) * out) / p
+    return out

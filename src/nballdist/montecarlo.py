@@ -140,15 +140,15 @@ def _multishell_points(geometry: BallGeometry, model: MultiShell,
     n = geometry.dimension
     radii = np.array([float(r) for r in model.radii])
     dens = np.array([float(d) for d in model.densities])
-    r3 = np.concatenate([[0.0], radii ** 3])
-    mass = dens * np.diff(r3)
+    rn = np.concatenate([[0.0], radii ** n])
+    mass = dens * np.diff(rn)
     cum = np.concatenate([[0.0], np.cumsum(mass)])
     total = cum[-1]
     v = stream.uniforms(count) * total
     idx = np.clip(np.searchsorted(cum, v, side="right") - 1, 0, len(dens) - 1)
     # zero-density shells carry no mass, but guard the division anyway
     safe = np.where(dens[idx] > 0.0, dens[idx], 1.0)
-    r = np.cbrt(r3[idx] + (v - cum[idx]) / safe)
+    r = (rn[idx] + (v - cum[idx]) / safe) ** (1.0 / n)
     z = stream.normals(count * n).reshape(count, n)
     norm = np.sqrt(np.sum(z * z, axis=1))
     norm[norm == 0.0] = 1.0
@@ -187,7 +187,7 @@ def sample_density(geometry: BallGeometry, density: DensityModel,
     """Points distributed proportionally to ``density``.
 
     Uniform, Gaussian (radial chi sampling via n normals), and MultiShell
-    (inverse CDF on the piecewise-cubic radial mass) are sampled directly;
+    (inverse CDF on the piecewise r^n radial mass) are sampled directly;
     everything else is rejection against the uniform-ball proposal with the
     model's certified bound.
     """

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +35,10 @@ from .core import (
     Uniform,
     UnsupportedError,
     density_is_radial,
+    density_mass,
     density_radial_value,
     log_gamma,
+    sphere_area,
 )
 
 __all__ = [
@@ -95,16 +96,6 @@ def pdf_radial_parabolic(geometry: BallGeometry, alpha: float, s: float) -> floa
 # General radial densities, numerically
 # ---------------------------------------------------------------------------
 
-_norm_cache: dict = {}
-_norm_lock = threading.Lock()
-
-
-def _radial_breakpoints(density: DensityModel) -> tuple:
-    if isinstance(density, MultiShell):
-        return tuple(float(r) for r in density.radii)
-    return ()
-
-
 def _scalar_radial(density: DensityModel, geometry: BallGeometry):
     """Fast scalar rho(r) closure; the nested quadratures call this millions
     of times, so no numpy round-trips."""
@@ -145,7 +136,7 @@ def _radial_unnormalized(geometry: BallGeometry, density: DensityModel, s: float
 
     if s >= 2.0 * R:
         return 0.0
-    kinks = _radial_breakpoints(density)
+    kinks = tuple(float(r) for r in density.radii) if isinstance(density, MultiShell) else ()
     if n == 1:
         pts = sorted({p for p in kinks for p in (p, s - p, -p + s) if s / 2 < p < R})
         val, _ = quad(lambda x: rho(x) * rho(abs(x - s)), s / 2.0, R,
@@ -175,31 +166,16 @@ def _radial_unnormalized(geometry: BallGeometry, density: DensityModel, s: float
     return s ** (n - 1) * surf * val
 
 
-def _radial_norm(geometry: BallGeometry, density: DensityModel, epsabs: float) -> float:
-    key = (geometry, density, round(math.log10(epsabs)))
-    with _norm_lock:
-        cached = _norm_cache.get(key)
-    if cached is not None:
-        return cached
-    R = geometry.radius
-    kinks = _radial_breakpoints(density)
-    spts = sorted({v for a in kinks for b in kinks
-                   for v in (abs(a - b), a + b) if 0.0 < v < 2.0 * R})
-    norm, _ = quad(lambda s: _radial_unnormalized(geometry, density, s, epsabs),
-                   0.0, 2.0 * R, epsabs=900.0 * epsabs, limit=200, points=spts or None)
-    with _norm_lock:
-        _norm_cache.setdefault(key, norm)
-    return norm
-
-
 def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s: float,
                        tol: float = 1e-8) -> float:
     """P_n(s) for an arbitrary radial density by nested adaptive quadrature.
 
     The n-fold integral collapses to two nested one-dimensional quadratures
     because the inner n-2 angular integrals are the volume factor of the
-    perpendicular (n-1)-ball. The returned curve is normalized to unit
-    integral over [0, 2R]; absolute accuracy is approximately ``tol``.
+    perpendicular (n-1)-ball. The curve is divided by its exact integral over
+    [0, 2R], (Int_B rho)^2 / (2 |S^(n-1)|) from ``density_mass``, so it has
+    unit mass up to the quadrature error; absolute accuracy is approximately
+    ``tol``.
     """
     if not density_is_radial(density):
         raise InvalidDensityError(f"{type(density).__name__} is not a radial density model")
@@ -209,11 +185,10 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s: float,
         raise UnsupportedError("tolerances below 1e-12 are not supported")
     if not (0.0 <= s <= geometry.diameter):
         raise DomainError(f"s={s!r} outside [0, {geometry.diameter}]")
-    epsabs = tol * 1e-2
-    norm = _radial_norm(geometry, density, epsabs)
+    norm = density_mass(density, geometry) ** 2 / (2.0 * sphere_area(geometry.dimension))
     if norm <= 0.0:
         raise InvalidDensityError("density integrates to zero over the ball")
-    return _radial_unnormalized(geometry, density, s, epsabs) / norm
+    return _radial_unnormalized(geometry, density, s, tol * 1e-2) / norm
 
 
 # ---------------------------------------------------------------------------

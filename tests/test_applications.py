@@ -11,6 +11,7 @@ from nballdist import (
     DivergentMomentError,
     DomainError,
     GaussianBall,
+    PrecisionError,
     SamplerConfig,
     SelfEnergySpec,
     UnsupportedError,
@@ -107,6 +108,17 @@ def test_hardcore_matches_quadrature(m, rc):
     num, _ = quad(lambda s: s ** m * pdf_uniform(G3, s), rc, 2.0, epsabs=1e-13, limit=400)
     den, _ = quad(lambda s: pdf_uniform(G3, s), rc, 2.0, epsabs=1e-13, limit=400)
     assert moment_hardcore(G3, rc, m) == pytest.approx(num / den, rel=1e-8)
+
+
+def test_hardcore_deep_orders():
+    # (n+1+m)/2 = -1000.5 continues the incomplete beta a thousand steps down
+    g = BallGeometry(3, 0.5)
+    num, _ = quad(lambda s: s ** -2005 * pdf_uniform(g, s), 0.95, 1.0, epsabs=0.0,
+                  epsrel=1e-12, limit=400)
+    den, _ = quad(lambda s: pdf_uniform(g, s), 0.95, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)
+    assert moment_hardcore(g, 0.95, -2005) == pytest.approx(num / den, rel=1e-9)
+    with pytest.raises(PrecisionError):
+        moment_hardcore(G3, 1.9, -3001)  # about 1e-837, below double range
 
 
 def test_hardcore_guards():

@@ -11,7 +11,9 @@ from nballdist import (
     CartesianMonomial,
     DomainError,
     Gaussian,
+    GeneralCartesian,
     InvalidDensityError,
+    MultiShell,
     ParabolicRadial,
     RadialPolynomial,
     Uniform,
@@ -27,7 +29,13 @@ from nballdist import (
     rotation_matrix,
     spherical_to_cartesian,
 )
-from nballdist.arbitrary import angles_from_direction
+from nballdist.arbitrary import (
+    _master_norm,
+    _master_unnormalized_quad,
+    _quad_levels,
+    angles_from_direction,
+)
+from nballdist.core import density_mass, density_radial_value
 
 
 def _random_angles(rng, n):
@@ -283,16 +291,57 @@ def test_master_guards():
         pdf_master(BallGeometry(3, 1.0), Gaussian(1.0), 0.5, "montecarlo", 1000)
     with pytest.raises(UnsupportedError):
         pdf_master(BallGeometry(2, 1.0), Uniform(), 0.5, "bogus")
+    with pytest.raises(InvalidDensityError):
+        zero = GeneralCartesian(lambda pts: np.zeros(len(pts)), bound=1.0)
+        pdf_master(BallGeometry(2, 1.0), zero, 0.5, "quadrature")
 
 
-def test_master_normalization_cache_concurrent():
-    # racing initializers may duplicate work but must agree in value
-    from concurrent.futures import ThreadPoolExecutor
-    import nballdist.arbitrary as arb
-    arb._master_norm_cache.clear()
+def _monomial_mass_reference(exponents, radius):
+    """Int over the ball of prod x_i^e_i by slicing off x_1: the remaining
+    (n-1)-ball integral scales as rho^(n-1+|e'|), leaving 1-D quadratures."""
+    if not exponents:
+        return 1.0
+    e, rest = exponents[0], exponents[1:]
+    power = len(rest) + sum(rest)
+    val, _ = quad(lambda x: x ** e * (radius * radius - x * x) ** (power / 2.0),
+                  -radius, radius, epsabs=0.0, epsrel=1e-13, limit=200)
+    return val * _monomial_mass_reference(rest, 1.0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_density_mass_matches_independent_integration(n):
+    R = 1.3
+    g = BallGeometry(n, R)
+    monomial = tuple((2 * i) % 6 for i in range(n))
+    assert density_mass(CartesianMonomial(monomial), g) == pytest.approx(
+        _monomial_mass_reference(monomial, R), rel=1e-11)
+    area = n * _monomial_mass_reference((0,) * n, 1.0)
+    radial = [Uniform(), RadialPolynomial((2.0, -1.0, 0.5, 0.25)), ParabolicRadial(0.7),
+              MultiShell((0.4, 0.9, 1.3), (3.0, 0.0, 1.5))]
+    for model in radial:
+        want, _ = quad(lambda r: r ** (n - 1) * float(density_radial_value(model, r, g)),
+                       0.0, R, epsabs=0.0, epsrel=1e-13, limit=200, points=(0.4, 0.9))
+        assert density_mass(model, g) == pytest.approx(area * want, rel=1e-11), model
+
+
+def test_master_quadrature_integrates_to_exact_norm():
+    # Int_0^2R f ds with s = 2R sin(psi), against (Int_B rho)^2 / 2
     g = BallGeometry(2, 1.0)
-    d = CartesianMonomial((2, 2))
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(
-            lambda _: pdf_master(g, d, 1.1, "quadrature", 1e-6).value, range(8)))
-    assert len(set(results)) == 1
+    d = CartesianMonomial((4, 4))
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    psi = (nodes + 1.0) * math.pi / 4.0
+    f = [_master_unnormalized_quad(g, d, 2.0 * math.sin(p), _quad_levels(2, 1e-6)) for p in psi]
+    total = float(np.sum(weights * math.pi / 4.0 * np.array(f) * 2.0 * np.cos(psi)))
+    assert total == pytest.approx(_master_norm(g, d, "quadrature", 1e-6, 0)[0], rel=1e-12)
+    assert _master_norm(g, d, "quadrature", 1e-6, 0)[1] == 0.0
+
+
+def test_master_mc_general_cartesian_matches_monomial():
+    g = BallGeometry(2, 1.0)
+    general = GeneralCartesian(lambda pts: 3.0 * np.prod(pts ** 4, axis=-1), bound=1.0)
+    for s in (0.5, 1.0, 1.5):
+        exact = pdf_master(g, CartesianMonomial((4, 4)), s, "montecarlo", 100_000, seed=8)
+        est = pdf_master(g, general, s, "montecarlo", 100_000, seed=8)
+        # same integrand stream: the difference is the estimated mass alone
+        assert est.error > exact.error
+        assert abs(est.value - exact.value) <= 3.0 * est.error

@@ -73,6 +73,13 @@ def test_pdf_two_point_grid_endpoints_zero(tmp_path):
     assert all(float(r[1]) == 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_pdf_bad_grid_exit_2(tmp_path, grid):
+    assert run(tmp_path, "pdf", "-n", "3", "--density", "uniform", "--grid", grid,
+               "-o", "bad.csv") == 2
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_pdf_shells_continuous_and_emits_polynomial(tmp_path):
     assert run(tmp_path, "pdf", "-n", "3", "--density", "shells:0.5,1.0;1,2",
                "--grid", "401", "-o", "sh.csv") == 0
@@ -146,6 +153,12 @@ def test_moment_hardcore(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["family"] == "uniform-hardcore"
     assert doc["value"] == pytest.approx(14776.137818022506, rel=1e-10)
+
+
+def test_moment_hardcore_overflow_exit_3(tmp_path, capsys):
+    # the true value is about 2^3001, beyond double precision
+    assert run(tmp_path, "moment", "-n", "3", "-m", "-3001", "--hardcore", "0.5") == 3
+    assert "m = -3001" in capsys.readouterr().err
 
 
 def test_energy_kinds(tmp_path, capsys):

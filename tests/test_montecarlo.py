@@ -121,6 +121,18 @@ def test_multishell_sampler_mass_split():
     assert abs(inner - want) <= 3.0 * math.sqrt(want * (1 - want) / len(r))
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_multishell_sampler_radial_cdf(n):
+    # shell masses grow as r^n, so F(r) = sum_k rho_k (min(r, r_k)^n - r_{k-1}^n) / total
+    g = BallGeometry(n, 1.0)
+    pts = sample_density(g, MultiShell((0.5, 1.0), (1.0, 2.0)), SamplerConfig(seed=3, count=100_000))
+    r = np.sort(np.linalg.norm(pts, axis=1))
+    mass = np.where(r <= 0.5, r ** n, 0.5 ** n + 2.0 * (r ** n - 0.5 ** n))
+    cdf = mass / (0.5 ** n + 2.0 * (1.0 - 0.5 ** n))
+    d = np.max(np.abs(cdf - np.arange(1, len(r) + 1) / len(r)))
+    assert d < 1.63 / math.sqrt(len(r))
+
+
 def test_monomial_sampler_symmetry():
     pts = sample_density(BallGeometry(2, 1.0), CartesianMonomial((4, 4)),
                          SamplerConfig(seed=8, count=50_000))

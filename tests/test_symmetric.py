@@ -8,6 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 import reference_forms as ref
+from nballdist.core import density_mass, sphere_area
+from nballdist.symmetric import _radial_unnormalized
 from nballdist import (
     BallGeometry,
     DomainError,
@@ -15,6 +17,7 @@ from nballdist import (
     GaussianBall,
     InvalidDensityError,
     MultiShell,
+    ParabolicRadial,
     RadialPolynomial,
     Uniform,
     UnsupportedError,
@@ -94,6 +97,18 @@ def test_numeric_matches_parabolic():
     assert pdf_radial_numeric(G3, RadialPolynomial((1, 0, -1)), 0.5,
                               tol=1e-7) == pytest.approx(
         pdf_radial_parabolic(G3, 1.0, 0.5), abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_numeric_kernel_integrates_to_exact_norm(n):
+    g = BallGeometry(n, 1.0)
+    for density, kinks in ((ParabolicRadial(0.5), None),
+                           (MultiShell((0.5, 1.0), (1.0, 2.0)), [0.5, 1.0, 1.5])):
+        total, _ = quad(lambda s: _radial_unnormalized(g, density, s, 1e-8), 0.0, 2.0,
+                        epsabs=1e-6, limit=200, points=kinks)
+        # the half-lens kernel without the direction measure carries 1/(2 |S^(n-1)|)
+        exact = density_mass(density, g) ** 2 / (2.0 * sphere_area(n))
+        assert total == pytest.approx(exact, rel=1e-6), density
 
 
 def test_numeric_rejects_bad_input():
