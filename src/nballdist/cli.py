@@ -179,7 +179,7 @@ def cmd_compare(args) -> int:
     hist = empirical_pair_pdf_parallel(geometry, density, args.pairs, args.bins,
                                        args.seed, max_workers=args.threads)
     analytic = evaluator
-    if isinstance(density, (RadialPolynomial, ParabolicRadial)) and not (
+    if isinstance(density, (RadialPolynomial, ParabolicRadial, MultiShell)) and not (
             geometry.dimension == 3):
         # numeric radial evaluator is expensive; feed compare a dense curve
         grid = np.linspace(0.0, geometry.diameter, 513)

@@ -276,32 +276,13 @@ def density_value(model: DensityModel, points: np.ndarray, geometry: BallGeometr
 
 
 def density_bound(model: DensityModel, geometry: BallGeometry) -> float:
-    """Upper bound on the unnormalized density over the ball.
-
-    Used as the rejection-sampling envelope. For Cartesian monomials the
-    maximum of prod x_i^{e_i} on ||x|| <= R is attained on the boundary at
-    x_i^2 = R^2 e_i / sum(e), which is evaluated in closed form.
-    """
+    """Upper bound on the unnormalized density over the ball, used as the
+    rejection-sampling envelope of the models that have no direct sampler."""
     R = geometry.radius
-    if isinstance(model, Uniform):
-        return 1.0
     if isinstance(model, ParabolicRadial):
         return 1.0
-    if isinstance(model, Gaussian):
-        return 1.0
-    if isinstance(model, MultiShell):
-        return max(float(d) for d in model.densities)
     if isinstance(model, GeneralCartesian):
         return float(model.bound)
-    if isinstance(model, CartesianMonomial):
-        etot = sum(model.exponents)
-        if etot == 0:
-            return 1.0
-        val = 1.0
-        for e in model.exponents:
-            if e:
-                val *= (R * R * e / etot) ** (e / 2.0)
-        return val
     if isinstance(model, RadialPolynomial):
         # Grid maximum with a safety margin; every accepted candidate is also
         # checked against the bound at sampling time.

@@ -1,6 +1,10 @@
 """Seeded sampling of points in n-balls, pair-distance histograms, and
 chi-square comparison of empirical against analytic densities.
 
+Uniform, Gaussian, shell and Cartesian-monomial densities are sampled
+directly; radial polynomials, the parabolic profile and ``GeneralCartesian``
+callbacks are sampled by rejection against the uniform ball.
+
 Sampling is deterministic: a ``SamplerConfig`` fixes (seed, stream_id, count)
 and the same configuration always reproduces the same batch bit for bit.
 Substreams with distinct stream ids are independent, and histogram merging is
@@ -49,6 +53,10 @@ __all__ = [
 ]
 
 _REJECTION_CHUNK = 16384  # fixed so rejection sampling consumes words deterministically
+# Points per block of the monomial sampler. Blocks bound the normals' scratch
+# arrays to 4096 x (|e| + n + 2) doubles whatever the count; the block size
+# also fixes how the stream is consumed, so changing it changes the samples.
+_MONOMIAL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,32 @@ def _multishell_points(geometry: BallGeometry, model: MultiShell,
     return z * (r / norm)[:, None]
 
 
+def _monomial_points(geometry: BallGeometry, model: CartesianMonomial,
+                     stream: CounterStream, count: int) -> np.ndarray:
+    """prod x_i^{e_i} on the ball: y_i = x_i^2 / R^2 is Dirichlet((e_i+1)/2,
+    ..., (e_n+1)/2, 1) with independent signs (Barthe, Guedon, Mendelson and
+    Naor 2005). Every e_i is even, so each shape is a half-integer and each
+    Gamma(k/2) variate is half a sum of k squared normals: e_i + 1 normals per
+    coordinate plus 2 for the slack. The sign of x_i is that of its group's
+    first normal, which is independent of the group's sum of squares."""
+    n, R = geometry.dimension, geometry.radius
+    exps = model.exponents
+    if len(exps) != n:
+        raise InvalidDensityError("exponent count does not match point dimension")
+    sizes = [e + 1 for e in exps] + [2]
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    width = sum(sizes)
+    out = np.empty((count, n))
+    for lo in range(0, count, _MONOMIAL_BLOCK):
+        m = min(_MONOMIAL_BLOCK, count - lo)
+        z = stream.normals(m * width).reshape(m, width)
+        gam = np.add.reduceat(z * z, starts, axis=1)
+        total = np.sum(gam, axis=1)
+        out[lo:lo + m] = np.copysign(R * np.sqrt(gam[:, :n] / total[:, None]),
+                                     z[:, starts[:n]])
+    return out
+
+
 def _rejection_points(geometry: BallGeometry, density: DensityModel,
                       stream: CounterStream, count: int) -> np.ndarray:
     bound = density_bound(density, geometry)
@@ -186,10 +220,12 @@ def sample_density(geometry: BallGeometry, density: DensityModel,
                    config: SamplerConfig) -> np.ndarray:
     """Points distributed proportionally to ``density``.
 
-    Uniform, Gaussian (radial chi sampling via n normals), and MultiShell
-    (inverse CDF on the piecewise r^n radial mass) are sampled directly;
-    everything else is rejection against the uniform-ball proposal with the
-    model's certified bound.
+    Uniform, Gaussian (radial chi sampling via n normals), MultiShell
+    (inverse CDF on the piecewise r^n radial mass) and CartesianMonomial
+    (Dirichlet law of the squared coordinates, from sums of squared normals)
+    are sampled directly. RadialPolynomial, ParabolicRadial and
+    GeneralCartesian are sampled by rejection against the uniform-ball
+    proposal with the model's certified bound.
     """
     stream = _stream_for(config)
     n = geometry.dimension
@@ -199,7 +235,9 @@ def sample_density(geometry: BallGeometry, density: DensityModel,
         return density.sigma * stream.normals(config.count * n).reshape(config.count, n)
     if isinstance(density, MultiShell):
         return _multishell_points(geometry, density, stream, config.count)
-    if isinstance(density, (RadialPolynomial, ParabolicRadial, CartesianMonomial, GeneralCartesian)):
+    if isinstance(density, CartesianMonomial):
+        return _monomial_points(geometry, density, stream, config.count)
+    if isinstance(density, (RadialPolynomial, ParabolicRadial, GeneralCartesian)):
         return _rejection_points(geometry, density, stream, config.count)
     raise InvalidDensityError(f"no sampler for {type(density).__name__}")
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nballdist
 import reference_forms as ref
 from nballdist import (
     BallGeometry,
@@ -295,7 +296,10 @@ def test_c11_geometric_constants():
 
 def test_c12_cli_determinism(tmp_path):
     with criterion(12, "CLI outputs byte-identical across repeats and thread counts"):
-        env = dict(os.environ, NBALLDIST_OUT_DIR=str(tmp_path))
+        # the subprocesses import the package from the tree under test
+        src = os.path.dirname(os.path.dirname(nballdist.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, NBALLDIST_OUT_DIR=str(tmp_path), PYTHONPATH=path)
         def run(tag, threads):
             cmd = [sys.executable, "-m", "nballdist.cli", "compare", "-n", "3",
                    "--density", "shells:0.5,1.0;1,2", "--pairs", "100000",

@@ -230,6 +230,31 @@ def test_compare_deterministic_across_threads(tmp_path):
     assert rep1 == rep4
 
 
+def test_compare_monomial_deterministic_across_threads(tmp_path):
+    for threads in ("1", "2"):
+        assert run(tmp_path, "compare", "-n", "2", "--density", "monomial:4,4",
+                   "--pairs", "40000", "--bins", "32", "--seed", "7",
+                   "--threads", threads, "-o", f"m{threads}") == 0
+    assert (tmp_path / "m1.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()
+    assert (tmp_path / "m1.report.json").read_bytes() == \
+        (tmp_path / "m2.report.json").read_bytes()
+
+
+def test_compare_shells_other_dimension_uses_curve(tmp_path, monkeypatch):
+    # the numeric radial route is evaluated on the 513-point comparison curve
+    # and the 64 CSV midpoints only, not at every bin-mass quadrature node
+    from nballdist import symmetric
+    calls = []
+
+    def counting(geometry, density, s):
+        calls.append(s)
+        return 1.0
+    monkeypatch.setattr(symmetric, "pdf_radial_numeric", counting)
+    run(tmp_path, "compare", "-n", "4", "--density", "shells:0.5,1.0;1,2",
+        "--pairs", "20000", "--bins", "64", "--seed", "42", "-o", "sh4")
+    assert 0 < len(calls) <= 513 + 64
+
+
 def test_compare_repeated_runs_byte_identical(tmp_path):
     for tag in ("a", "b"):
         assert run(tmp_path, "compare", "-n", "3", "--density", "shells:0.5,1.0;1,2",

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nballdist import (
     BallGeometry,
@@ -14,6 +15,7 @@ from nballdist import (
     GaussianBall,
     GeneralCartesian,
     InsufficientDataError,
+    InvalidDensityError,
     MultiShell,
     PdfCurve,
     RadialPolynomial,
@@ -139,6 +141,35 @@ def test_monomial_sampler_symmetry():
     assert np.max(np.linalg.norm(pts, axis=1)) <= 1.0
     assert np.mean(pts[:, 0]) == pytest.approx(0.0, abs=0.01)
     assert np.mean(np.sign(pts[:, 0]) * np.sign(pts[:, 1])) == pytest.approx(0.0, abs=0.02)
+
+
+@pytest.mark.parametrize("exps", [(4, 0, 0, 0), (2, 2, 2)])
+def test_monomial_sampler_dirichlet_marginals(exps):
+    # y_i = x_i^2 / R^2 is a Dirichlet marginal: Beta(a_i, sum(a) - a_i + 1)
+    R = 1.3
+    pts = sample_density(BallGeometry(len(exps), R), CartesianMonomial(exps),
+                         SamplerConfig(seed=3, count=40_000))
+    a = [(e + 1) / 2.0 for e in exps]
+    for i, ai in enumerate(a):
+        law = stats.beta(ai, sum(a) - ai + 1.0)
+        assert stats.kstest(pts[:, i] ** 2 / R ** 2, law.cdf).pvalue > 1e-3, i
+
+
+@pytest.mark.parametrize("exps", [(4, 0, 0, 0), (2, 2, 2)])
+def test_monomial_sampler_sign_symmetry(exps):
+    count = 40_000
+    pts = sample_density(BallGeometry(len(exps), 1.0), CartesianMonomial(exps),
+                         SamplerConfig(seed=4, count=count))
+    for i in range(len(exps)):
+        x = pts[:, i]
+        assert abs(np.count_nonzero(x > 0) - count / 2) < 2.0 * math.sqrt(count), i
+        # the sign is independent of the magnitude
+        assert stats.ks_2samp(x[x > 0], -x[x < 0]).pvalue > 1e-3, i
+
+
+def test_monomial_sampler_exponent_count():
+    with pytest.raises(InvalidDensityError):
+        sample_density(G3, CartesianMonomial((2, 2)), SamplerConfig(seed=1, count=10))
 
 
 def test_rejection_efficiency_error():
