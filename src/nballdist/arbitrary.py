@@ -33,6 +33,7 @@ from .core import (
     InvalidDensityError,
     Uniform,
     UnsupportedError,
+    _as_support,
     density_mass,
     density_value,
     log_gamma,
@@ -344,8 +345,7 @@ def pdf_master(geometry: BallGeometry, density: DensityModel, s: float,
     standard error, plus the normalization's relative error times the value.
     """
     n = geometry.dimension
-    if not (0.0 <= s <= geometry.diameter):
-        raise DomainError(f"s={s!r} outside [0, {geometry.diameter}]")
+    _as_support(geometry, s)
     if isinstance(density, Gaussian):
         raise InvalidDensityError("the master formula assumes support inside the ball")
     if method == "quadrature":
@@ -392,44 +392,51 @@ _EX4_SQRT = {4: Fraction(196, 3), 6: Fraction(114, 5), 8: Fraction(28, 15),
 _EX4_ASIN = {3: Fraction(112, 3), 5: Fraction(96), 7: Fraction(16)}
 
 
-def _poly_eval(table: dict, s: float, R: float) -> float:
+def _poly_eval(table: dict, s, R: float):
     return sum(float(c) * s ** k / R ** (k + 1) for k, c in table.items())
 
 
-def _check_range(geometry: BallGeometry, s: float) -> None:
-    if not (0.0 <= s <= geometry.diameter):
-        raise DomainError(f"s={s!r} outside [0, {geometry.diameter}]")
+def _root_and_asin(geometry: BallGeometry, s) -> tuple:
+    """sqrt(4R^2 - s^2) and asin(s/2R), clipped at s = 2R."""
+    R = geometry.radius
+    return (np.sqrt(np.maximum(4.0 * R * R - s * s, 0.0)),
+            np.arcsin(np.minimum(s / (2.0 * R), 1.0)))
 
 
-def pdf_example_2d(geometry: BallGeometry, s: float) -> float:
-    """P_2(s) for the density rho ~ x^4 y^4 in a disc (closed form)."""
+def pdf_example_2d(geometry: BallGeometry, s):
+    """P_2(s) for the density rho ~ x^4 y^4 in a disc (closed form); s a
+    float or an ndarray."""
     if geometry.dimension != 2:
         raise UnsupportedError("this closed form is for n = 2")
-    _check_range(geometry, s)
+    s = _as_support(geometry, s)
     R = geometry.radius
-    root = math.sqrt(max(4.0 * R * R - s * s, 0.0))
+    root, asin = _root_and_asin(geometry, s)
     f123 = (_poly_eval(_EX2_F1, s, R) + _poly_eval(_EX2_F2, s, R)
             - _poly_eval(_EX2_F3, s, R)) / R  # tables carry R^(k+2) scaling
-    return (_poly_eval(_EX2_POLY, s, R)
-            - root / math.pi * f123
-            - math.asin(min(s / (2.0 * R), 1.0)) / math.pi * _poly_eval(_EX2_ASIN, s, R))
+    out = (_poly_eval(_EX2_POLY, s, R)
+           - root / math.pi * f123
+           - asin / math.pi * _poly_eval(_EX2_ASIN, s, R))
+    return out if out.ndim else float(out)
 
 
-def pdf_example_3d(geometry: BallGeometry, s: float) -> float:
-    """P_3(s) for the density rho ~ x^2 y^2 z^2 in a 3-ball (degree-17 polynomial)."""
+def pdf_example_3d(geometry: BallGeometry, s):
+    """P_3(s) for the density rho ~ x^2 y^2 z^2 in a 3-ball (degree-17
+    polynomial); s a float or an ndarray."""
     if geometry.dimension != 3:
         raise UnsupportedError("this closed form is for n = 3")
-    _check_range(geometry, s)
-    return _poly_eval(_EX3_POLY, s, geometry.radius)
+    out = _poly_eval(_EX3_POLY, _as_support(geometry, s), geometry.radius)
+    return out if out.ndim else float(out)
 
 
-def pdf_example_4d(geometry: BallGeometry, s: float) -> float:
-    """P_4(s) for the density rho ~ x_1^4 in a 4-ball (closed form)."""
+def pdf_example_4d(geometry: BallGeometry, s):
+    """P_4(s) for the density rho ~ x_1^4 in a 4-ball (closed form); s a
+    float or an ndarray."""
     if geometry.dimension != 4:
         raise UnsupportedError("this closed form is for n = 4")
-    _check_range(geometry, s)
+    s = _as_support(geometry, s)
     R = geometry.radius
-    root = math.sqrt(max(4.0 * R * R - s * s, 0.0))
-    return (_poly_eval(_EX4_POLY, s, R)
-            - root / math.pi * _poly_eval(_EX4_SQRT, s, R) / R
-            - math.asin(min(s / (2.0 * R), 1.0)) / math.pi * _poly_eval(_EX4_ASIN, s, R))
+    root, asin = _root_and_asin(geometry, s)
+    out = (_poly_eval(_EX4_POLY, s, R)
+           - root / math.pi * _poly_eval(_EX4_SQRT, s, R) / R
+           - asin / math.pi * _poly_eval(_EX4_ASIN, s, R))
+    return out if out.ndim else float(out)

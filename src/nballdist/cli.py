@@ -84,13 +84,26 @@ class _UsageError(Exception):
     pass
 
 
+def _pointwise(scalar_route):
+    """Array callable over a route that takes one float s at a time: the
+    numeric radial quadrature, the n = 2 master quadrature and the forced
+    uniform representations. A float in gives a float out."""
+    def evaluate(s):
+        s = np.asarray(s, dtype=float)
+        out = np.array([scalar_route(v) for v in s.ravel().tolist()], dtype=float)
+        return out.reshape(s.shape) if s.ndim else float(out[0])
+    return evaluate
+
+
 def resolve_evaluator(geometry: BallGeometry, density, representation=None):
-    """Analytic evaluator s -> density for the (geometry, density) pair."""
+    """Analytic evaluator for the (geometry, density) pair: it takes an
+    ndarray of s and returns the density at each, in the same shape (a float
+    for a float), and raises DomainError if any s lies outside the support."""
     n = geometry.dimension
     if isinstance(density, Uniform):
         if representation is not None:
             rep = uniform.Representation(representation)
-            return lambda s: uniform.pdf_uniform_repr(geometry, s, rep)
+            return _pointwise(lambda s: uniform.pdf_uniform_repr(geometry, s, rep))
         return lambda s: uniform.pdf_uniform(geometry, s)
     if isinstance(density, Gaussian):
         gb = symmetric.GaussianBall(n, density.sigma)
@@ -100,10 +113,9 @@ def resolve_evaluator(geometry: BallGeometry, density, representation=None):
     if isinstance(density, RadialPolynomial) and n == 3 and density.coefficients == (0.0, 0.0, 1.0):
         return lambda s: symmetric.pdf_radial_r2(geometry, s)
     if isinstance(density, MultiShell) and n == 3:
-        poly = symmetric.multishell_polynomial(geometry, density)
-        return lambda s: float(poly(s))
+        return lambda s: symmetric.pdf_multishell(geometry, density, s)
     if isinstance(density, (RadialPolynomial, ParabolicRadial, MultiShell)):
-        return lambda s: symmetric.pdf_radial_numeric(geometry, density, s)
+        return _pointwise(lambda s: symmetric.pdf_radial_numeric(geometry, density, s))
     if isinstance(density, CartesianMonomial):
         exps = density.exponents
         if n == 2 and exps == (4, 4):
@@ -113,7 +125,8 @@ def resolve_evaluator(geometry: BallGeometry, density, representation=None):
         if n == 4 and exps == (4, 0, 0, 0):
             return lambda s: arbitrary.pdf_example_4d(geometry, s)
         if n == 2:
-            return lambda s: arbitrary.pdf_master(geometry, density, s, "quadrature", 1e-8).value
+            return _pointwise(
+                lambda s: arbitrary.pdf_master(geometry, density, s, "quadrature", 1e-8).value)
         raise UnsupportedError(
             f"no analytic route for monomial {exps} in n={n}; "
             "closed forms exist for (4,4)@n=2, (2,2,2)@n=3, (4,0,0,0)@n=4")
@@ -152,10 +165,10 @@ def cmd_pdf(args) -> int:
     grid = np.linspace(0.0, geometry.diameter, args.grid)
     out = _out_path(args.output)
     outputs = [out]
+    values = evaluator(grid)
     with open(out, "w", newline="\n") as fh:
         fh.write("s,analytic_density\n")
-        for s in grid:
-            fh.write(f"{_fmt(s)},{_fmt(evaluator(float(s)))}\n")
+        fh.writelines(f"{_fmt(s)},{_fmt(v)}\n" for s, v in zip(grid, values))
     if isinstance(density, MultiShell) and geometry.dimension == 3:
         poly = symmetric.multishell_polynomial(geometry, density)
         shells_path = os.path.splitext(out)[0] + ".shells.json"
@@ -183,14 +196,13 @@ def cmd_compare(args) -> int:
             geometry.dimension == 3):
         # numeric radial evaluator is expensive; feed compare a dense curve
         grid = np.linspace(0.0, geometry.diameter, 513)
-        analytic = montecarlo.PdfCurve(grid, np.array([evaluator(float(s)) for s in grid]))
+        analytic = montecarlo.PdfCurve(grid, evaluator(grid))
     report = montecarlo.compare(hist, analytic)
 
     out = _out_path(args.output)
     csv_path = out if out.endswith(".csv") else out + ".csv"
     base = os.path.splitext(csv_path)[0]
-    dens_analytic = [evaluator(float(0.5 * (a + b)))
-                     for a, b in zip(hist.edges[:-1], hist.edges[1:])]
+    dens_analytic = evaluator(0.5 * (hist.edges[:-1] + hist.edges[1:]))
     with open(csv_path, "w", newline="\n") as fh:
         fh.write("s_lo,s_hi,count,empirical_density,analytic_density\n")
         emp = hist.empirical_density

@@ -224,6 +224,15 @@ DensityModel = Union[
 ]
 
 
+def _as_support(geometry: BallGeometry, s) -> np.ndarray:
+    """``s`` as a float array (0-d for a scalar), every element in [0, 2R]."""
+    arr = np.asarray(s, dtype=float)
+    bad = ~((arr >= 0.0) & (arr <= geometry.diameter))
+    if np.any(bad):
+        raise DomainError(f"s={float(arr[bad][0])!r} outside the support [0, {geometry.diameter}]")
+    return arr
+
+
 def density_is_radial(model: DensityModel) -> bool:
     return isinstance(model, (Uniform, RadialPolynomial, ParabolicRadial, Gaussian, MultiShell))
 

@@ -303,15 +303,19 @@ def _bin_masses(hist: DistanceHistogram, analytic) -> np.ndarray:
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
     xs = mid + half * _GL_NODES[None, :]
-    vals = np.array([[float(analytic(x)) for x in row] for row in xs])
+    vals = np.asarray(analytic(xs), dtype=float)
     return np.sum(vals * _GL_WEIGHTS[None, :], axis=1) * half[:, 0]
 
 
 def compare(histogram: DistanceHistogram, analytic) -> ComparisonReport:
     """Pearson chi-square of the histogram against an analytic density.
 
-    ``analytic`` is either a callable s -> density or a PdfCurve. Expected
-    bin masses come from quadrature of the analytic PDF over each bin; the
+    ``analytic`` is either a PdfCurve or an array callable: it is called
+    once, with the (bins, 20) array of Gauss-Legendre nodes, and must return
+    the density at every node in that shape (``resolve_evaluator`` routes,
+    ``pdf_uniform``, ``PiecewisePolynomial`` and the other closed forms do;
+    a scalar-only function does not). Expected bin masses come from
+    quadrature of the analytic PDF over each bin; the
     statistic runs over bins with expected count >= 5 and dof is that bin
     count minus one. Counts observed where the analytic density carries no
     mass make the statistic degenerate and force p = 0.

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -34,6 +34,7 @@ from .core import (
     RadialPolynomial,
     Uniform,
     UnsupportedError,
+    _as_support,
     density_is_radial,
     density_mass,
     density_radial_value,
@@ -63,33 +64,33 @@ _R2_COEFFS = {2: Fraction(25, 7), 3: Fraction(-25, 4), 4: Fraction(5),
               5: Fraction(-25, 16), 9: Fraction(5, 448)}
 
 
-def pdf_radial_r2(geometry: BallGeometry, s: float) -> float:
-    """P_3(s) for the radial density rho ~ r^2 in a 3-ball."""
+def pdf_radial_r2(geometry: BallGeometry, s):
+    """P_3(s) for the radial density rho ~ r^2 in a 3-ball; s a float or an ndarray."""
     if geometry.dimension != 3:
         raise UnsupportedError("the rho ~ r^2 closed form is only available for n = 3")
-    if not (0.0 <= s <= geometry.diameter):
-        raise DomainError(f"s={s!r} outside [0, {geometry.diameter}]")
+    s = _as_support(geometry, s)
     R = geometry.radius
-    return sum(float(c) * s ** k / R ** (k + 1) for k, c in _R2_COEFFS.items())
+    out = sum(float(c) * s ** k / R ** (k + 1) for k, c in _R2_COEFFS.items())
+    return out if out.ndim else float(out)
 
 
-def pdf_radial_parabolic(geometry: BallGeometry, alpha: float, s: float) -> float:
+def pdf_radial_parabolic(geometry: BallGeometry, alpha: float, s):
     """P_3(s) for rho ~ 1 - alpha (r/R)^2, alpha in [0, 1]; alpha = 0 is the
-    uniform ball."""
+    uniform ball. ``s`` is a float or an ndarray."""
     if geometry.dimension != 3:
         raise UnsupportedError("the parabolic closed form is only available for n = 3")
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if not (0.0 <= s <= geometry.diameter):
-        raise DomainError(f"s={s!r} outside [0, {geometry.diameter}]")
+    s = _as_support(geometry, s)
     R = geometry.radius
     d = 5.0 - 3.0 * alpha
-    return (15.0 * (35.0 - 42.0 * alpha + 15.0 * alpha * alpha) * s ** 2 / (7.0 * d * d * R ** 3)
-            - 225.0 * (1.0 - alpha) ** 2 * s ** 3 / (4.0 * d * d * R ** 4)
-            - 15.0 * alpha * s ** 4 / (d * R ** 5)
-            + 75.0 * (1.0 + 6.0 * alpha - 3.0 * alpha * alpha) * s ** 5 / (16.0 * d * d * R ** 6)
-            - 15.0 * alpha * s ** 7 / (8.0 * d * d * R ** 8)
-            + 45.0 * alpha * alpha * s ** 9 / (448.0 * d * d * R ** 10))
+    out = (15.0 * (35.0 - 42.0 * alpha + 15.0 * alpha * alpha) * s ** 2 / (7.0 * d * d * R ** 3)
+           - 225.0 * (1.0 - alpha) ** 2 * s ** 3 / (4.0 * d * d * R ** 4)
+           - 15.0 * alpha * s ** 4 / (d * R ** 5)
+           + 75.0 * (1.0 + 6.0 * alpha - 3.0 * alpha * alpha) * s ** 5 / (16.0 * d * d * R ** 6)
+           - 15.0 * alpha * s ** 7 / (8.0 * d * d * R ** 8)
+           + 45.0 * alpha * alpha * s ** 9 / (448.0 * d * d * R ** 10))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +184,7 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s: float,
         raise UnsupportedError("Gaussian support exceeds the ball; use pdf_gaussian")
     if tol < 1e-12:
         raise UnsupportedError("tolerances below 1e-12 are not supported")
-    if not (0.0 <= s <= geometry.diameter):
-        raise DomainError(f"s={s!r} outside [0, {geometry.diameter}]")
+    _as_support(geometry, s)
     norm = density_mass(density, geometry) ** 2 / (2.0 * sphere_area(geometry.dimension))
     if norm <= 0.0:
         raise InvalidDensityError("density integrates to zero over the ball")
@@ -208,15 +208,21 @@ class GaussianBall:
             raise DomainError(f"sigma must be positive, got {self.sigma!r}")
 
 
-def pdf_gaussian(gaussian: GaussianBall, s: float) -> float:
-    """P_n(s) = s^(n-1) exp(-s^2/4 sigma^2) / (2^(n-1) Gamma(n/2) sigma^n)."""
-    if s < 0.0:
-        raise DomainError(f"s must be >= 0, got {s!r}")
+def pdf_gaussian(gaussian: GaussianBall, s):
+    """P_n(s) = s^(n-1) exp(-s^2/4 sigma^2) / (2^(n-1) Gamma(n/2) sigma^n);
+    s a float or an ndarray, every element >= 0."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(s >= 0.0):
+        raise DomainError(f"s must be >= 0, got {float(s[~(s >= 0.0)][0])!r}")
     n, sig = gaussian.dimension, gaussian.sigma
     lognorm = (n - 1) * math.log(2.0) + log_gamma(n / 2.0) + n * math.log(sig)
-    if s == 0.0:
-        return math.exp(-lognorm) if n == 1 else 0.0
-    return math.exp((n - 1) * math.log(s) - s * s / (4.0 * sig * sig) - lognorm)
+    pos = s > 0.0
+    # log s only where s > 0: at s = 0 the power is 1 (n = 1) or 0
+    logs = np.log(np.where(pos, s, 1.0))
+    out = np.exp((n - 1) * logs - s * s / (4.0 * sig * sig) - lognorm)
+    if n > 1:
+        out = np.where(pos, out, 0.0)
+    return out if out.ndim else float(out)
 
 
 def gaussian_mode(gaussian: GaussianBall) -> float:
@@ -240,22 +246,27 @@ class PiecewisePolynomial:
             raise ValueError("need exactly one piece per breakpoint interval")
 
     def piece_index(self, s: float) -> int:
-        edges = [float(b) for b in self.breakpoints]
+        edges = self._float_pieces[0]
         if not (edges[0] <= s <= edges[-1]):
             raise DomainError(f"s={s!r} outside [{edges[0]}, {edges[-1]}]")
         i = int(np.searchsorted(edges, s, side="right")) - 1
         return min(max(i, 0), len(self.pieces) - 1)
 
+    @cached_property
+    def _float_pieces(self) -> tuple:
+        """Breakpoints and per-piece coefficients as floats, built once."""
+        return (np.array([float(b) for b in self.breakpoints]),
+                [np.array([float(c) for c in coeffs]) for coeffs in self.pieces])
+
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
-        edges = np.array([float(b) for b in self.breakpoints])
-        idx = np.clip(np.searchsorted(edges, s_arr, side="right") - 1, 0, len(self.pieces) - 1)
+        edges, coeffs = self._float_pieces
+        idx = np.clip(np.searchsorted(edges, s_arr, side="right") - 1, 0, len(coeffs) - 1)
         out = np.zeros_like(s_arr)
-        for i, coeffs in enumerate(self.pieces):
+        for i, c in enumerate(coeffs):
             mask = idx == i
             if np.any(mask):
-                out[mask] = np.polynomial.polynomial.polyval(
-                    s_arr[mask], np.array([float(c) for c in coeffs]))
+                out[mask] = np.polynomial.polynomial.polyval(s_arr[mask], c)
         return out if out.ndim else float(out)
 
     def evaluate_exact(self, s) -> Fraction:
@@ -382,8 +393,7 @@ def multishell_polynomial(geometry: BallGeometry, shells: MultiShell) -> Piecewi
         geometry.dimension, Fraction(geometry.radius), shells.radii, shells.densities)
 
 
-def pdf_multishell(geometry: BallGeometry, shells: MultiShell, s: float) -> float:
-    """P_3(s) for a multi-shell density (float evaluation of the exact polynomial)."""
-    if not (0.0 <= s <= geometry.diameter):
-        raise DomainError(f"s={s!r} outside [0, {geometry.diameter}]")
-    return float(multishell_polynomial(geometry, shells)(s))
+def pdf_multishell(geometry: BallGeometry, shells: MultiShell, s):
+    """P_3(s) for a multi-shell density (float evaluation of the exact
+    polynomial); s a float or an ndarray."""
+    return multishell_polynomial(geometry, shells)(_as_support(geometry, s))

@@ -4,7 +4,8 @@ The default evaluation path is the regularized incomplete beta form
 
     P_n(s) = n s^(n-1) / R^n * I_x((n+1)/2, 1/2),   x = 1 - s^2/(4R^2),
 
-which is numerically stable for all n and s, including s -> 2R where x -> 0.
+evaluated on whole arrays of s by ``scipy.special`` from the exact pair
+(x, y = s^2/4R^2), which keeps full accuracy at both ends of the support.
 The other representations (integral, finite parity series, infinite series,
 generating functions, hypergeometric) are provided both as cross-checks and
 because each is the natural starting point for a different derivation.
@@ -16,6 +17,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
 from . import _series
@@ -25,10 +27,11 @@ from .core import (
     InvalidRepresentationError,
     DivergentMomentError,
     PrecisionError,
+    _as_support,
+    _betacf,
     beta,
     double_factorial,
     inc_beta,
-    reg_inc_beta,
     hyp2f1_halfint,
 )
 
@@ -60,11 +63,6 @@ class Representation(enum.Enum):
     HYPERGEOMETRIC = "hypergeometric"
 
 
-def _check_s(geometry: BallGeometry, s: float) -> None:
-    if not (0.0 <= s <= geometry.diameter):
-        raise DomainError(f"s={s!r} outside the support [0, {geometry.diameter}]")
-
-
 def _x_of(geometry: BallGeometry, s: float) -> float:
     # 1 - s^2/4R^2 in product form to avoid cancellation near s = 2R
     t = s / geometry.diameter
@@ -77,17 +75,47 @@ def normalization_constant(geometry: BallGeometry) -> float:
     return beta((n + 1) / 2.0, 0.5) / (2.0 * n) * R ** (2 * n)
 
 
-def pdf_uniform(geometry: BallGeometry, s: float) -> float:
-    """P_n(s) through the regularized incomplete beta default."""
-    _check_s(geometry, s)
+_TINY = np.finfo(float).tiny
+
+
+def _log_reg_inc_beta_tail(a: float, x: np.ndarray) -> np.ndarray:
+    """log I_x(a, 1/2) = a log x + log(1-x)/2 - log B(a, 1/2) - log a + log cf
+    for x where I_x itself underflows (small x, so the continued fraction
+    converges fast)."""
+    cf = np.array([_betacf(a, 0.5, v)[0] for v in x.tolist()])
+    return a * np.log(x) + 0.5 * np.log1p(-x) - special.betaln(a, 0.5) - math.log(a) + np.log(cf)
+
+
+def pdf_uniform(geometry: BallGeometry, s):
+    """P_n(s) through the regularized incomplete beta, for a float or an
+    ndarray of s (a float in gives a float out, an array the same shape).
+
+    With t = s/2R, both x = (1-t)(1+t) and its complement y = t^2 are exact,
+    and I_x((n+1)/2, 1/2) is betaincc(1/2, (n+1)/2, y) where y <= x and
+    betainc((n+1)/2, 1/2, x) where x < y, so scipy never forms 1 - x itself
+    (the (x, y) pair of TOMS 708). Where I_x underflows, and for n > 1024,
+    whose s^(n-1) may overflow, the product is taken in log space. Within
+    x < 1e-12 of s = 2R the exact limit 0 is returned.
+    """
+    s = _as_support(geometry, s)
     n, R = geometry.dimension, geometry.radius
-    if s == 0.0:
-        return 1.0 / R if n == 1 else 0.0
-    x = _x_of(geometry, s)
-    if x < 1e-12:
-        # exact limit; evaluating I_x this deep in the tail only adds noise
-        return 0.0
-    return n * s ** (n - 1) / R ** n * reg_inc_beta(x, (n + 1) / 2.0, 0.5)
+    a = (n + 1) / 2.0
+    t = s / geometry.diameter
+    x, y = (1.0 - t) * (1.0 + t), t * t
+    near = y <= x
+    ix = special.betaincc(0.5, a, y, where=near, out=np.empty_like(s))
+    special.betainc(a, 0.5, x, where=~near, out=ix)
+    inner = x >= 1e-12
+    logs = inner & (s > 0.0) & ((ix < _TINY) | (n > 1024))
+    direct = inner & ~logs
+    out = np.zeros_like(s)
+    out[direct] = n / R * ((s[direct] / R) ** (n - 1) * ix[direct])
+    if np.any(logs):
+        log_ix = np.log(np.maximum(ix[logs], _TINY))
+        under = ix[logs] < _TINY
+        log_ix[under] = _log_reg_inc_beta_tail(a, x[logs][under])
+        out[logs] = n / R * np.exp((n - 1) * np.log(s[logs] / R) + log_ix)
+    return out if out.ndim else float(out)
 
 
 def q_kernel_quadrature(geometry: BallGeometry, s: float) -> float:
@@ -96,7 +124,7 @@ def q_kernel_quadrature(geometry: BallGeometry, s: float) -> float:
     The substitution x = R sin(u) removes the square-root derivative
     singularity of the integrand at x = R.
     """
-    _check_s(geometry, s)
+    _as_support(geometry, s)
     n, R = geometry.dimension, geometry.radius
     lo = math.asin(min(s / (2.0 * R), 1.0))
     val, _ = quad(lambda u: math.cos(u) ** n, lo, math.pi / 2.0, epsabs=1e-11, limit=200)
@@ -106,7 +134,7 @@ def q_kernel_quadrature(geometry: BallGeometry, s: float) -> float:
 def overlap_kernels(geometry: BallGeometry, s: float) -> tuple:
     """(Q_n(s), T_n(s)) from the closed incomplete-beta form
     Q_n = (R^n / 2) B_x((n+1)/2, 1/2), T_n = s^(n-1) Q_n."""
-    _check_s(geometry, s)
+    _as_support(geometry, s)
     n, R = geometry.dimension, geometry.radius
     x = _x_of(geometry, s)
     q = 0.0 if x <= 0.0 else R ** n / 2.0 * inc_beta(x, (n + 1) / 2.0, 0.5)
@@ -208,7 +236,7 @@ def _hypergeometric_value(n: int, R: float, s: float) -> float:
 
 def pdf_uniform_repr(geometry: BallGeometry, s: float, representation: Representation) -> float:
     """P_n(s) through any single representation; parity mismatches raise."""
-    _check_s(geometry, s)
+    _as_support(geometry, s)
     n, R = geometry.dimension, geometry.radius
     rep = Representation(representation)
     if rep is Representation.ODD_SERIES and n % 2 == 0:
@@ -396,7 +424,7 @@ def generating_series(kind: str, order: int, arg: float, geometry: BallGeometry)
             raise DomainError(f"F needs x in [0, 1], got {arg!r}")
         s_over_r = 2.0 * math.sqrt(max(1.0 - arg, 0.0))
         return 2.0 * _series.overlap_generating_coeffs(order, s_over_r)
-    _check_s(geometry, arg)
+    _as_support(geometry, arg)
     c = _series.overlap_generating_coeffs(order, arg / R)
     if kind == "F1":
         return c * R ** k.astype(float)

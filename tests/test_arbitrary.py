@@ -255,6 +255,21 @@ def test_master_mc_matches_printed_4d():
         assert abs(est.value - want) <= 4.0 * est.error
 
 
+@pytest.mark.parametrize("n,exponents,closed_form", [
+    (4, (4, 0, 0, 0), pdf_example_4d), (3, (2, 2, 2), pdf_example_3d)])
+def test_master_mc_error_bar_is_calibrated(n, exponents, closed_form):
+    # z = (estimate - exact) / error over 100 seeds at two distances: an honest
+    # standard error gives std(z) near 1
+    g = BallGeometry(n, 1.0)
+    z = []
+    for s in (0.6, 1.4):
+        want = closed_form(g, s)
+        for seed in range(100):
+            est = pdf_master(g, CartesianMonomial(exponents), s, "montecarlo", 5000, seed=seed)
+            z.append((est.value - want) / est.error)
+    assert 0.8 <= np.std(z) <= 1.2
+
+
 def test_master_mc_radial_consistency():
     # radial density through the fully general machinery vs the radial reducer
     g = BallGeometry(3, 1.0)

@@ -3,13 +3,21 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from nballdist import BallGeometry, pdf_uniform
 from nballdist.cli import main, parse_density, resolve_evaluator
-from nballdist.core import CartesianMonomial, Gaussian, MultiShell, ParabolicRadial, Uniform
+from nballdist.core import (
+    CartesianMonomial,
+    DomainError,
+    Gaussian,
+    MultiShell,
+    ParabolicRadial,
+    Uniform,
+)
 
 
 def run(tmp_path, *argv, capsys=None):
@@ -125,6 +133,65 @@ def test_resolve_evaluator_routes():
     g3 = BallGeometry(3, 1.0)
     ev3 = resolve_evaluator(g3, parse_density("radial-poly:0,0,1"))
     assert ev3(1.0) == pytest.approx(345.0 / 448.0, rel=1e-12)
+
+
+# every route of resolve_evaluator: (n, density spec, representation)
+EVALUATOR_ROUTES = [
+    (1, "uniform", None), (2, "uniform", None), (3, "uniform", None), (50, "uniform", None),
+    (1, "gauss:0.7", None), (3, "gauss:0.7", None),
+    (3, "radial-poly:0,0,1", None), (3, "parabolic:0.5", None), (3, "shells:0.5,1.0;1,2", None),
+    (2, "monomial:4,4", None), (3, "monomial:2,2,2", None), (4, "monomial:4,0,0,0", None),
+    (4, "parabolic:0.5", None), (2, "monomial:2,2", None), (3, "uniform", "hypergeometric"),
+]
+
+
+@pytest.mark.parametrize("n,spec,rep", EVALUATOR_ROUTES)
+def test_evaluator_array_contract(n, spec, rep):
+    geometry = BallGeometry(n, 1.0)
+    density = parse_density(spec)
+    ev = resolve_evaluator(geometry, density, rep)
+    # the routes that work point by point (numeric radial, n = 2 master
+    # quadrature, forced representation) get a short grid
+    pointwise = rep is not None or (n, spec) in {(4, "parabolic:0.5"), (2, "monomial:2,2")}
+    grid = np.linspace(0.0, geometry.diameter, 9 if pointwise else 101)
+    values = ev(grid)
+    assert isinstance(values, np.ndarray) and values.shape == grid.shape
+    one_by_one = np.array([ev(float(s)) for s in grid])
+    assert all(isinstance(ev(float(s)), float) for s in grid[:2])
+    np.testing.assert_allclose(values, one_by_one, rtol=1e-14, atol=0.0)
+    square = grid[1:].reshape(2, -1)
+    np.testing.assert_array_equal(ev(square), ev(square.ravel()).reshape(square.shape))
+    bad = [-0.1] if isinstance(density, Gaussian) else [-0.1, geometry.diameter + 0.1]
+    for s_bad in bad:
+        with pytest.raises(DomainError):
+            ev(np.array([0.5, s_bad, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = ev(np.array([0.0, geometry.diameter]))
+    assert np.all(np.isfinite(ends))
+
+
+def test_pdf_and_compare_evaluate_in_one_call_each(tmp_path, monkeypatch):
+    import nballdist.cli as cli
+    calls = []
+    resolve = cli.resolve_evaluator
+
+    def counting(*args, **kwargs):
+        evaluator = resolve(*args, **kwargs)
+
+        def wrapped(s):
+            calls.append(np.shape(s))
+            return evaluator(s)
+        return wrapped
+    monkeypatch.setattr(cli, "resolve_evaluator", counting)
+    assert run(tmp_path, "pdf", "-n", "3", "--density", "uniform", "--grid", "301",
+               "-o", "u.csv") == 0
+    assert calls == [(301,)]
+    calls.clear()
+    assert run(tmp_path, "compare", "-n", "3", "--density", "uniform", "--pairs", "20000",
+               "--bins", "32", "--seed", "42", "-o", "c") == 0
+    # bin-mass nodes (bins x 20 Gauss-Legendre points), then the CSV midpoints
+    assert calls == [(32, 20), (32,)]
 
 
 # ---------------------------------------------------------------------------

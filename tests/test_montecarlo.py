@@ -257,7 +257,8 @@ def test_compare_degenerate_zero_support():
     hist = empirical_pair_pdf(G3, Uniform(), pairs=20_000, bins=32,
                               config=SamplerConfig(seed=42, count=0))
     halfball = BallGeometry(3, 0.5)  # analytic support [0, 1]; counts exist beyond
-    report = compare(hist, lambda s: pdf_uniform(halfball, s) if s <= 1.0 else 0.0)
+    report = compare(hist, lambda s: np.where(s <= 1.0, pdf_uniform(halfball, np.minimum(s, 1.0)),
+                                              0.0))
     assert report.p_value == 0.0
     assert math.isinf(report.chi_square)
 

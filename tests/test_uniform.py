@@ -1,7 +1,9 @@
 """Uniform-ball pair-distance PDF: representations, kernels, properties."""
 import math
+import warnings
 from fractions import Fraction as F
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +83,54 @@ def test_domain_errors():
         pdf_uniform(g, -0.1)
     with pytest.raises(DomainError):
         pdf_uniform(g, 2.0001)
+
+
+def _pdf_uniform_mpmath(n, s, radius=1.0):
+    with mp.workdps(50):
+        s, R = mp.mpf(s), mp.mpf(radius)
+        x = 1 - s * s / (4 * R * R)
+        return n * s ** (n - 1) / R ** n * mp.betainc(mp.mpf(n + 1) / 2, 0.5, 0, x,
+                                                      regularized=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 200])
+def test_pdf_uniform_against_mpmath(n):
+    g = BallGeometry(n, 1.0)
+    grid = np.array([1e-8, 1e-6, 1e-3, 0.3, 1.0, 1.7, 1.99, 1.999999])
+    got = pdf_uniform(g, grid)
+    for s, value in zip(grid, got):
+        want = _pdf_uniform_mpmath(n, float(s))
+        if want < 1e-300:
+            assert 0.0 <= value <= 1e-300
+        else:
+            assert value == pytest.approx(float(want), rel=1e-12, abs=0.0), (n, s)
+
+
+@pytest.mark.parametrize("n,s", [(1000, 1.9), (1000, 1.5), (1500, 1.2), (1500, 1.9)])
+def test_pdf_uniform_large_n_does_not_underflow(n, s):
+    # I_x underflows (about 1e-506 at n = 1000, s = 1.9) before the product
+    # with s^(n-1) brings the value back into range; past n = 1024 s^(n-1)
+    # itself can overflow
+    want = _pdf_uniform_mpmath(n, s)
+    assert pdf_uniform(BallGeometry(n, 1.0), s) == pytest.approx(float(want), rel=1e-10)
+    if (n, s) == (1000, 1.9):
+        assert float(want) == pytest.approx(7.861432611142898e-227, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_pdf_uniform_array_in_array_out(n):
+    g = BallGeometry(n, 1.5)
+    grid = np.linspace(0.0, 3.0, 24).reshape(4, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = pdf_uniform(g, grid)
+    assert values.shape == (4, 6)
+    assert values.flat[0] == (1.0 / 1.5 if n == 1 else 0.0) and values.flat[-1] == 0.0
+    for s, v in zip(grid.ravel(), values.ravel()):
+        got = pdf_uniform(g, float(s))
+        assert isinstance(got, float) and got == pytest.approx(v, rel=1e-15, abs=0.0)
+    with pytest.raises(DomainError):
+        pdf_uniform(g, np.array([1.0, 3.0001]))
 
 
 # ---------------------------------------------------------------------------
