@@ -22,7 +22,6 @@ from .core import (  # noqa: F401
     ParabolicRadial,
     PrecisionError,
     RadialPolynomial,
-    SpecialFunctionResult,
     Uniform,
     UnsupportedError,
     beta,

@@ -2,6 +2,10 @@
 Coulomb-type self-energies, neutrino-pair-exchange self-energies, and the
 geometric constant <r12.r23>.
 
+Hard-core moments come from one pole-free integral (the moment integral with
+its order of integration swapped), so every integer order is finite; the
+other payloads are closed forms in the special functions of ``core``.
+
 Self-energy totals are always pair count times the per-pair energy,
 W = N(N-1)/2 * U, with U = coupling * <1/s^k>. Note that the closed form
 often quoted as W_n = 2n/(n+2) Z(Z-1) q^2 / R^(n-2) double-counts pairs:
@@ -18,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     BallGeometry,
     DivergentMomentError,
@@ -25,9 +31,6 @@ from .core import (
     PrecisionError,
     UnsupportedError,
     beta,
-    beta_ext,
-    inc_beta,
-    inc_beta_ext,
     inc_gamma_upper,
     log_gamma,
 )
@@ -123,41 +126,63 @@ def moment_gaussian(n: int, sigma: float, m: int) -> float:
     return (2.0 * sigma) ** m * math.exp(log_gamma((n + m) / 2.0) - log_gamma(n / 2.0))
 
 
-def _hardcore_h(geometry: BallGeometry, r_c: float, m: int) -> float:
-    """H(R, r_c; m, n), the truncated-support moment kernel:
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+_LOG_TINY, _LOG_HUGE = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 
-        H = (2R)^(n+m)/(n+m) [B(pm, p) - B_xc(pm, p)]
-          - r_c^(n+m)/(n+m) [B(1/2, p) - B_xc(1/2, p)],
 
-    p = (n+1)/2, pm = (n+1+m)/2, xc = (r_c/2R)^2. Differentiating the
-    cumulative kernel pins the moment shift to the FIRST argument of the
-    incomplete beta (tabulations that put it second disagree with direct
-    quadrature). For m+n < 0 the beta functions are continued analytically.
+def _log_hardcore_integral(n: int, R: float, r_c: float, k: int) -> float:
+    """log H, H = int_{r_c/2}^R (R^2 - x^2)^((n-1)/2) ((2x)^k - r_c^k)/k dx with
+    k = m + n, and log(2x/r_c) for the bracket at k = 0: the moment
+    numerator int_{r_c}^{2R} s^(m+n-1) Q_n(s) ds with the order of integration
+    swapped, which has no poles in m.
+
+    With x^2/R^2 = y = y0 e^L, y0 = (r_c/2R)^2, L in [0, L1], L1 = -log y0,
+    H = R^n/2 * int (1-y)^((n-1)/2) y^(1/2) (e^(kL/2) - 1)/k dL, summed in log
+    space with the bracket's largest value (r_c^k for k <= 0, (2R)^k for
+    k > 0) taken out. The integrand is log-concave in L; its mass sits at the
+    ends or at the mode of (1-y)^((n-1)/2) y^((1+k+)/2), k+ = max(k, 0), on
+    scales down to h0 = 1/(1 + |k| + (n-1) y/(1-y)) there. The 48-node
+    Gauss-Legendre rule runs on pieces graded by factors of 4 from h0 around
+    L = 0, the mode and L1; on the last piece it runs in w = sqrt(L1 - L),
+    where (1-y)^((n-1)/2) dL is smooth for every n.
     """
-    n, R = geometry.dimension, geometry.radius
-    if m + n == 0:
-        raise DivergentMomentError("m + n = 0 is a logarithmic case the closed form cannot reach")
-    pm = (n + 1 + m) / 2.0
-    if pm <= 0.0 and pm == int(pm):
-        raise DivergentMomentError(
-            f"(n+1+m)/2 = {pm} hits a beta-function pole; this moment order is unsupported")
-    p = (n + 1) / 2.0
-    xc = (r_c / (2.0 * R)) ** 2
-    try:
-        first = (2.0 * R) ** (n + m) / (n + m) * (beta_ext(p, pm) - inc_beta_ext(xc, pm, p))
-        second = r_c ** (n + m) / (n + m) * (beta(0.5, p) - inc_beta(xc, 0.5, p))
-        h = first - second
-    except OverflowError:
-        h = math.inf
-    if not (0.0 < h < math.inf):  # H of a positive density: over- or underflow
-        raise PrecisionError(f"hard-core moment order m = {m} is outside double-precision range")
-    return h
+    log_y0 = 2.0 * math.log(r_c / (2.0 * R))
+    L1 = -log_y0
+    kp = max(k, 0)
+    centre = min(max(L1 + math.log((1.0 + kp) / (n + kp)), 0.0), L1)
+    y = math.exp(log_y0 + centre)
+    h0 = 1.0 / (1.0 + abs(k) + ((n - 1) * y / (1.0 - y) if n > 1 else 0.0))
+    breaks = {0.0, L1}
+    for c in (0.0, centre, L1):
+        h = h0
+        while h < L1:
+            breaks.update(v for v in (c - h, c + h) if 0.0 < v < L1 - h0)
+            h *= 4.0
+    b = np.array(sorted(breaks))
+    half = 0.5 * np.diff(b[:-1])[:, None]
+    L = (b[:-2, None] + half * (1.0 + _GL_NODES)).ravel()
+    d = ((L1 - b[1:-1, None]) + half * (1.0 - _GL_NODES)).ravel()
+    w = 0.5 * math.sqrt(L1 - b[-2]) * (1.0 + _GL_NODES)
+    L, d = np.concatenate((L, L1 - w * w)), np.concatenate((d, w * w))
+    weights = np.concatenate(((half * _GL_WEIGHTS).ravel(),
+                              math.sqrt(L1 - b[-2]) * _GL_WEIGHTS * w))
+    log_f = 0.5 * (n - 1) * np.log(-np.expm1(-d)) + 0.5 * (log_y0 + L) + np.log(weights)
+    if k < 0:
+        log_f += np.log(-np.expm1(0.5 * k * L)) - math.log(-k)
+    elif k > 0:
+        log_f += np.log(-np.expm1(-0.5 * k * L)) - 0.5 * k * d - math.log(k)
+    else:
+        log_f += np.log(0.5 * L)
+    top = np.max(log_f)
+    log_j = top + math.log(np.sum(np.exp(log_f - top)))
+    return n * math.log(R) - math.log(2.0) + k * math.log(r_c if k <= 0 else 2.0 * R) + log_j
 
 
 def moment_hardcore(geometry: BallGeometry, r_c: float, m: int) -> float:
     """<s^m> over [r_c, 2R] (both numerator and normalization truncated):
-    H(R, r_c; m, n) / H(R, r_c; 0, n). Negative orders below -(n-1) are
-    meaningful here because the cutoff removes the s = 0 divergence."""
+    H(R, r_c; m, n) / H(R, r_c; 0, n). Every integer order is finite here,
+    because the cutoff removes the s = 0 divergence; a ratio outside the
+    double range raises ``PrecisionError``."""
     n, R = geometry.dimension, geometry.radius
     if r_c >= 2.0 * R:
         raise DomainError(f"hard core r_c={r_c!r} leaves empty support (needs r_c < 2R)")
@@ -165,7 +190,10 @@ def moment_hardcore(geometry: BallGeometry, r_c: float, m: int) -> float:
         raise DomainError("hard-core radius must be positive; use moment_uniform for r_c = 0")
     if m == 0:
         return 1.0
-    return _hardcore_h(geometry, r_c, m) / _hardcore_h(geometry, r_c, 0)
+    log_ratio = _log_hardcore_integral(n, R, r_c, m + n) - _log_hardcore_integral(n, R, r_c, n)
+    if not (_LOG_TINY < log_ratio < _LOG_HUGE):
+        raise PrecisionError(f"hard-core moment order m = {m} is outside double-precision range")
+    return math.exp(log_ratio)
 
 
 # ---------------------------------------------------------------------------

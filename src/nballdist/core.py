@@ -4,7 +4,10 @@ Everything downstream (uniform/symmetric/arbitrary closed forms, moments,
 self-energies, chi-square p-values) is built on the functions in this module:
 log-gamma, beta, incomplete beta, regularized incomplete beta, upper
 incomplete gamma, and the specific Gauss hypergeometric family
-2F1(1/2, (1-n)/2; 3/2; x).
+2F1(1/2, (1-n)/2; 3/2; x). They are thin wrappers that check the domain
+(raising ``DomainError``) and then call ``math.lgamma`` or ``scipy.special``
+(``betainc``, ``gammaincc``, ``exp1``); only the terminating odd-n 2F1 sum
+is evaluated here.
 
 All functions are pure: same inputs give bit-identical outputs, and there is
 no shared mutable state, so every operation here is thread-safe.
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "GeoProbError",
@@ -36,17 +40,13 @@ __all__ = [
     "CartesianMonomial",
     "GeneralCartesian",
     "DensityModel",
-    "SpecialFunctionResult",
     "log_gamma",
     "beta",
     "log_beta",
     "inc_beta",
     "reg_inc_beta",
-    "inc_beta_result",
     "hyp2f1_halfint",
-    "hyp2f1_halfint_result",
     "inc_gamma_upper",
-    "inc_gamma_upper_result",
     "double_factorial",
     "density_is_radial",
     "density_value",
@@ -55,8 +55,6 @@ __all__ = [
     "density_mass",
     "sphere_area",
 ]
-
-_EPS = 2.220446049250313e-16
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +334,8 @@ def density_mass(model: DensityModel, geometry: BallGeometry) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Special functions
+# Special functions: validated wrappers over scipy.special
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpecialFunctionResult:
-    """Value plus a conservative absolute-error upper bound."""
-    value: float
-    error: float = 0.0
-
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0.
@@ -365,7 +356,8 @@ def log_beta(p: float, q: float) -> float:
 
 def beta(p: float, q: float) -> float:
     """Complete beta function B(p, q), routed through log-gamma so that
-    half-integer arguments up to n ~ 50 do not overflow."""
+    half-integer arguments up to n ~ 50 do not overflow (and stay closer
+    to the true value than ``scipy.special.beta`` at large p)."""
     return math.exp(log_beta(p, q))
 
 
@@ -380,265 +372,50 @@ def double_factorial(k: int) -> float:
     return out
 
 
-def _betacf(a: float, b: float, x: float) -> tuple:
-    """Continued fraction for the regularized incomplete beta (Lentz's method).
-
-    Returns (cf, last_delta) where last_delta tracks the final relative step
-    for error estimation.
-    """
-    MAXIT = 300
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    delta = 0.0
-    for m in range(1, MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h, abs(delta - 1.0)
-    raise PrecisionError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
-
-
-def inc_beta_result(x: float, p: float, q: float) -> SpecialFunctionResult:
-    """Incomplete beta B_x(p, q) = int_0^x t^(p-1) (1-t)^(q-1) dt with error bound."""
+def reg_inc_beta(x: float, p: float, q: float) -> float:
+    """Regularized incomplete beta I_x(p, q) = B_x(p, q) / B(p, q)."""
     if not (p > 0.0 and q > 0.0):
         raise DomainError(f"inc_beta requires p, q > 0, got ({p!r}, {q!r})")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"inc_beta requires x in [0, 1], got {x!r}")
-    if x == 0.0:
-        return SpecialFunctionResult(0.0, 0.0)
-    B = beta(p, q)
-    lg_sum = abs(math.lgamma(p)) + abs(math.lgamma(q)) + abs(math.lgamma(p + q))
-    if x == 1.0:
-        return SpecialFunctionResult(B, (lg_sum + 8.0) * _EPS * B)
-    lnfront = p * math.log(x) + q * math.log1p(-x) - log_beta(p, q)
-    front = math.exp(lnfront)
-    # symmetry switch keeps the continued fraction in its fast-converging regime
-    if x < (p + 1.0) / (p + q + 2.0):
-        cf, delta = _betacf(p, q, x)
-        term = front * cf / p
-        ix = term
-    else:
-        cf, delta = _betacf(q, p, 1.0 - x)
-        term = front * cf / q
-        ix = 1.0 - term
-    # the exp(lnfront) path loses |lnfront| ulps, the continued fraction a few
-    # more, and B itself carries the log-gamma magnitudes as ulps
-    err_ix = ((abs(lnfront) + 30.0) * _EPS + 4.0 * delta) * abs(term) + 2.0 * _EPS
-    value = ix * B
-    return SpecialFunctionResult(value, err_ix * B + (lg_sum + 8.0) * _EPS * abs(value) + 1e-300)
+    return float(special.betainc(p, q, x))
 
 
 def inc_beta(x: float, p: float, q: float) -> float:
-    return inc_beta_result(x, p, q).value
+    """Incomplete beta B_x(p, q) = int_0^x t^(p-1) (1-t)^(q-1) dt."""
+    return reg_inc_beta(x, p, q) * beta(p, q)
 
 
-def reg_inc_beta(x: float, p: float, q: float) -> float:
-    """Regularized incomplete beta I_x(p, q) = B_x(p, q) / B(p, q)."""
-    return inc_beta_result(x, p, q).value / beta(p, q)
-
-
-def hyp2f1_halfint_result(n: int, x: float) -> SpecialFunctionResult:
+def hyp2f1_halfint(n: int, x: float) -> float:
     """2F1(1/2, (1-n)/2; 3/2; x) for integer n >= 1 and x in [0, 1].
 
-    For odd n the series terminates and is summed exactly. For even n the
-    series is summed directly for x <= 3/4; near x = 1 it is evaluated
-    through the exact antiderivative identity
-    2F1(1/2, (1-n)/2; 3/2; x) = B_x(1/2, (n+1)/2) / (2 sqrt(x)),
-    which keeps full accuracy where the raw series converges too slowly.
+    For odd n the series terminates and is summed exactly. For even n it is
+    the exact antiderivative identity
+    2F1(1/2, (1-n)/2; 3/2; x) = B_x(1/2, (n+1)/2) / (2 sqrt(x)).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:
-        return SpecialFunctionResult(1.0, 0.0)
+        return 1.0
+    if n % 2 == 0:
+        return inc_beta(x, 0.5, (n + 1) / 2.0) / (2.0 * math.sqrt(x))
     a, b, c = 0.5, (1.0 - n) / 2.0, 1.5
-    if n % 2 == 1:
-        total = term = 1.0
-        for k in range((n - 1) // 2):
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-            total += term
-        return SpecialFunctionResult(total, 8.0 * _EPS * (abs(total) + 1.0))
-    if x <= 0.75:
-        total = term = 1.0
-        k = 0
-        while True:
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-            total += term
-            k += 1
-            if abs(term) < 1e-17 * abs(total) or k > 400:
-                break
-        return SpecialFunctionResult(total, (8.0 * _EPS * abs(total) + 2.0 * abs(term)))
-    r = inc_beta_result(x, 0.5, (n + 1) / 2.0)
-    sx = 2.0 * math.sqrt(x)
-    return SpecialFunctionResult(r.value / sx, r.error / sx + 4.0 * _EPS * abs(r.value) / sx)
+    total = term = 1.0
+    for k in range((n - 1) // 2):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
+        total += term
+    return total
 
 
-def hyp2f1_halfint(n: int, x: float) -> float:
-    return hyp2f1_halfint_result(n, x).value
-
-
-_EULER_GAMMA = 0.5772156649015328606
-
-
-def _exp1(x: float) -> tuple:
-    """Exponential integral E_1(x) = Gamma(0, x) for x > 0; returns (value, err)."""
-    if x <= 1.0:
-        # E_1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!)
-        total = -_EULER_GAMMA - math.log(x)
-        term = 1.0
-        for k in range(1, 60):
-            term *= -x / k
-            total -= term / k
-            if abs(term / k) < 1e-18 * max(abs(total), 1e-30):
-                break
-        return total, 8.0 * _EPS * (abs(total) + 1.0)
-    # Lentz continued fraction: E_1(x) = e^{-x} / (x + 1/(1 + 1/(x + 2/(1 + ...))))
-    tiny = 1e-300
-    b0 = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b0
-    h = d
-    for i in range(1, 200):
-        an = -i * i
-        b0 += 2.0
-        d = an * d + b0
-        if abs(d) < tiny:
-            d = tiny
-        c = b0 + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            value = h * math.exp(-x)
-            return value, (20.0 * _EPS + 4.0 * abs(delta - 1.0)) * abs(value)
-    raise PrecisionError(f"E1 continued fraction failed for x={x}")
-
-
-def inc_gamma_upper_result(a: float, b: float) -> SpecialFunctionResult:
-    """Upper incomplete gamma Gamma(a, b) = int_b^inf t^(a-1) e^(-t) dt, a >= 0, b > 0."""
+def inc_gamma_upper(a: float, b: float) -> float:
+    """Upper incomplete gamma Gamma(a, b) = int_b^inf t^(a-1) e^(-t) dt, a >= 0, b > 0;
+    Gamma(0, b) is the exponential integral E_1(b)."""
     if not (b > 0.0):
         raise DomainError(f"inc_gamma_upper requires b > 0, got {b!r}")
     if a < 0.0:
         raise DomainError(f"inc_gamma_upper requires a >= 0, got {a!r}")
     if a == 0.0:
-        v, e = _exp1(b)
-        return SpecialFunctionResult(v, e)
-    if b < a + 1.0:
-        # series for the lower regularized gamma P(a, b), then complement
-        ap = a
-        total = term = 1.0 / a
-        for _ in range(500):
-            ap += 1.0
-            term *= b / ap
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        p = total * math.exp(-b + a * math.log(b) - math.lgamma(a))
-        gamma_a = math.exp(math.lgamma(a))
-        value = gamma_a * (1.0 - p)
-        return SpecialFunctionResult(value, 30.0 * _EPS * gamma_a + 1e-300)
-    # Lentz continued fraction for Gamma(a, b), b >= a + 1
-    tiny = 1e-300
-    b0 = b + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b0
-    h = d
-    for i in range(1, 300):
-        an = -i * (i - a)
-        b0 += 2.0
-        d = an * d + b0
-        if abs(d) < tiny:
-            d = tiny
-        c = b0 + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            value = h * math.exp(-b + a * math.log(b))
-            return SpecialFunctionResult(value, (30.0 * _EPS + 4.0 * abs(delta - 1.0)) * abs(value) + 1e-300)
-    raise PrecisionError(f"incomplete gamma continued fraction failed for a={a}, b={b}")
-
-
-def inc_gamma_upper(a: float, b: float) -> float:
-    return inc_gamma_upper_result(a, b).value
-
-
-# ---------------------------------------------------------------------------
-# Analytic continuation of B and B_x in the second parameter (q <= 0).
-# Needed by truncated-support (hard-core) moments where the closed form
-# evaluates B(p, q) at q = (n + 1 + m)/2 < 0.
-# ---------------------------------------------------------------------------
-
-def beta_ext(p: float, q: float) -> float:
-    """B(p, q) continued to q < 0 via B(p, q) = B(p, q+1) (p+q)/q.
-
-    q may not be a non-positive integer (a genuine pole of the beta function).
-    """
-    if p <= 0.0:
-        raise DomainError(f"beta_ext requires p > 0, got {p!r}")
-    if q > 0.0:
-        return beta(p, q)
-    if q == int(q):
-        raise DomainError(f"beta has a pole at non-positive integer q={q!r}")
-    out = 1.0
-    while q < 0.0:
-        out *= (p + q) / q
-        q += 1.0
-    return out * beta(p, q)
-
-
-def inc_beta_ext(x: float, p: float, q: float) -> float:
-    """B_x(p, q) continued to p <= 0 (p not a non-positive integer), 0 <= x < 1.
-
-    Uses the parameter-raising recurrence
-        B_x(p, q) = [x^p (1-x)^q + (p+q) B_x(p+1, q)] / p
-    to lift the first parameter back into the classical region. The integral
-    itself diverges at t = 0 for p <= 0; the continued value is the finite
-    part that makes truncated-support moment differences exact.
-    """
-    if not (0.0 <= x < 1.0):
-        raise DomainError(f"inc_beta_ext requires x in [0, 1), got {x!r}")
-    if p > 0.0:
-        return inc_beta(x, p, q)
-    if p == int(p):
-        raise DomainError(f"incomplete beta continuation has a pole at p={p!r}")
-    if x == 0.0:
-        return 0.0
-    # unrolled from the innermost term, so deep orders need no recursion
-    steps = []
-    while p <= 0.0:
-        steps.append(p)
-        p += 1.0
-    out = inc_beta(x, p, q)
-    for p in reversed(steps):
-        out = (x ** p * (1.0 - x) ** q + (p + q) * out) / p
-    return out
+        return float(special.exp1(b))
+    return float(special.gammaincc(a, b)) * math.exp(math.lgamma(a))

@@ -28,7 +28,6 @@ from .core import (
     DivergentMomentError,
     PrecisionError,
     _as_support,
-    _betacf,
     beta,
     double_factorial,
     inc_beta,
@@ -79,11 +78,10 @@ _TINY = np.finfo(float).tiny
 
 
 def _log_reg_inc_beta_tail(a: float, x: np.ndarray) -> np.ndarray:
-    """log I_x(a, 1/2) = a log x + log(1-x)/2 - log B(a, 1/2) - log a + log cf
-    for x where I_x itself underflows (small x, so the continued fraction
-    converges fast)."""
-    cf = np.array([_betacf(a, 0.5, v)[0] for v in x.tolist()])
-    return a * np.log(x) + 0.5 * np.log1p(-x) - special.betaln(a, 0.5) - math.log(a) + np.log(cf)
+    """log I_x(a, 1/2) for x where I_x itself underflows, from DLMF 8.17.8:
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x)."""
+    return (a * np.log(x) + 0.5 * np.log1p(-x) - special.betaln(a, 0.5) - math.log(a)
+            + np.log(special.hyp2f1(a + 0.5, 1.0, a + 1.0, x)))
 
 
 def pdf_uniform(geometry: BallGeometry, s):

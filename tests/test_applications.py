@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -126,10 +127,43 @@ def test_hardcore_guards():
         moment_hardcore(G3, 2.0, 1)
     with pytest.raises(DomainError):
         moment_hardcore(G3, 0.0, 1)
-    with pytest.raises(DivergentMomentError):
-        moment_hardcore(G3, 0.1, -3)  # m + n = 0, logarithmic
-    with pytest.raises(DivergentMomentError):
-        moment_hardcore(G3, 0.1, -4)  # beta pole at (n+1+m)/2 = 0
+    # m + n = 0 (a logarithm) and (n+1+m)/2 = 0 (a beta-function pole of the
+    # continued closed form) are finite moments like any other order
+    assert moment_hardcore(G3, 0.5, -3) == pytest.approx(1.40278720060151, rel=1e-12)
+    assert moment_hardcore(G3, 0.5, -4) == pytest.approx(1.90443133867930, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hardcore_pole_orders_against_mpmath(n):
+    # the orders m = -n, -(n+1), -(n+3) that a continued beta form cannot reach
+    with mp.workdps(30):
+        def pdf(s):
+            return n * s ** (n - 1) * mp.betainc(mp.mpf(n + 1) / 2, 0.5, 0, 1 - s * s / 4,
+                                                 regularized=True)
+        for rc in (0.1, 1.5):
+            den = mp.quad(pdf, [rc, 2])
+            for m in (-n, -(n + 1), -(n + 3)):
+                want = mp.quad(lambda s: s ** m * pdf(s), [rc, 2]) / den
+                assert moment_hardcore(BallGeometry(n), rc, m) == pytest.approx(
+                    float(want), rel=1e-12), (rc, m)
+
+
+@pytest.mark.parametrize("n,rc,orders", [(300, 0.05, (-3, 1, 50)), (300, 1.0, (-3, 1, 50)),
+                                          (2, 1.9999999, (-6, 1, 50))])
+def test_hardcore_large_dimension_and_near_diameter(n, rc, orders):
+    # closed form at R = 1: H(m) ~ (2^k U((k+1)/2) - r_c^k U(1/2)) / k with
+    # U(a) = int_{y0}^1 t^(a-1) (1-t)^((n-1)/2) dt, k = m + n, y0 = (r_c/2)^2;
+    # the mass sits at a sharp interior mode (n = 300) or on a support of
+    # width 1e-7 (r_c near 2R)
+    with mp.workdps(40):
+        y0, p = (mp.mpf(rc) / 2) ** 2, mp.mpf(n + 1) / 2
+
+        def h(k):
+            return (2 ** k * mp.betainc(mp.mpf(k + 1) / 2, p, y0, 1)
+                    - mp.mpf(rc) ** k * mp.betainc(0.5, p, y0, 1)) / k
+        for m in orders:
+            assert moment_hardcore(BallGeometry(n), rc, m) == pytest.approx(
+                float(h(m + n) / h(n)), rel=1e-12), m
 
 
 # ---------------------------------------------------------------------------

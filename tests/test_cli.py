@@ -222,6 +222,13 @@ def test_moment_hardcore(tmp_path, capsys):
     assert doc["value"] == pytest.approx(14776.137818022506, rel=1e-10)
 
 
+def test_moment_hardcore_pole_order(tmp_path, capsys):
+    # (n+1+m)/2 = 0, a pole of the continued beta form, is an ordinary order
+    assert run(tmp_path, "moment", "-n", "3", "-m", "-4", "--hardcore", "0.5") == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(
+        1.90443133867930, rel=1e-12)
+
+
 def test_moment_hardcore_overflow_exit_3(tmp_path, capsys):
     # the true value is about 2^3001, beyond double precision
     assert run(tmp_path, "moment", "-n", "3", "-m", "-3001", "--hardcore", "0.5") == 3

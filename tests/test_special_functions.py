@@ -9,15 +9,10 @@ from hypothesis import given, settings, strategies as st
 from nballdist.core import (
     DomainError,
     beta,
-    beta_ext,
     double_factorial,
     hyp2f1_halfint,
-    hyp2f1_halfint_result,
     inc_beta,
-    inc_beta_ext,
-    inc_beta_result,
     inc_gamma_upper,
-    inc_gamma_upper_result,
     log_gamma,
     reg_inc_beta,
 )
@@ -68,9 +63,7 @@ def test_inc_beta_against_mpmath():
         for p, q in [(0.5, 0.5), (1.0, 0.5), (2.0, 0.5), (3.5, 0.5),
                      (25.5, 0.5), (0.5, 3.5), (7.0, 9.0)]:
             want = float(mp.betainc(p, q, 0, x))
-            r = inc_beta_result(x, p, q)
-            assert r.value == pytest.approx(want, rel=1e-12, abs=1e-300)
-            assert abs(r.value - want) <= r.error  # error bound is honest
+            assert inc_beta(x, p, q) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_inc_beta_domain():
@@ -91,7 +84,10 @@ def test_reg_inc_beta_values():
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(x=st.floats(0.0, 1.0), p=st.floats(0.1, 20.0), q=st.floats(0.1, 20.0))
 def test_inc_beta_tail_identity(x, p, q):
-    # B_x(p, q) = B(p, q) - B_{1-x}(q, p)
+    # B_x(p, q) = B(p, q) - B_{1-x}(q, p), on a pair x, 1 - x that are both
+    # exact (Sterbenz); otherwise 1 - x rounds to 1 for tiny x and the right
+    # side is 0 while B_x is not
+    x = 1.0 - (1.0 - x)
     lhs = inc_beta(x, p, q)
     rhs = beta(p, q) - inc_beta(1.0 - x, q, p)
     assert abs(lhs - rhs) < 1e-11 * max(1.0, beta(p, q))
@@ -128,9 +124,7 @@ def test_hyp2f1_even_against_mpmath():
     for n in [2, 4, 6, 8, 12]:
         for x in [0.1, 0.5, 0.74, 0.76, 0.9, 0.99, 1.0]:
             want = float(mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1 - n) / 2, mp.mpf(3) / 2, x))
-            r = hyp2f1_halfint_result(n, x)
-            assert r.value == pytest.approx(want, rel=1e-12)
-            assert abs(r.value - want) <= max(r.error, 1e-15)
+            assert hyp2f1_halfint(n, x) == pytest.approx(want, rel=1e-12)
 
 
 def test_hyp2f1_antiderivative_identity():
@@ -166,9 +160,7 @@ def test_inc_gamma_against_mpmath():
     for a in [0.0, 0.5, 1.0, 2.5, 7.0]:
         for b in [1e-4, 0.1, 0.9, 1.5, 4.0, 25.0]:
             want = float(mp.gammainc(mp.mpf(a), mp.mpf(b)))
-            r = inc_gamma_upper_result(a, b)
-            assert r.value == pytest.approx(want, rel=1e-10)
-            assert abs(r.value - want) <= max(r.error, 1e-14 * abs(want))
+            assert inc_gamma_upper(a, b) == pytest.approx(want, rel=1e-10)
 
 
 def test_inc_gamma_domain():
@@ -179,7 +171,7 @@ def test_inc_gamma_domain():
 
 
 # ---------------------------------------------------------------------------
-# Double factorial and analytic continuations
+# Double factorial
 # ---------------------------------------------------------------------------
 
 def test_double_factorial_conventions():
@@ -188,23 +180,3 @@ def test_double_factorial_conventions():
     assert double_factorial(1) == 1.0
     assert double_factorial(6) == 48.0
     assert double_factorial(7) == 105.0
-
-
-def test_beta_ext_continuation():
-    # B(2, -1/2) = Gamma(2) Gamma(-1/2) / Gamma(3/2) = -4
-    assert beta_ext(2.0, -0.5) == pytest.approx(-4.0, rel=1e-13)
-    want = float(mp.beta(mp.mpf("3.5"), mp.mpf("-1.5")))
-    assert beta_ext(3.5, -1.5) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(DomainError):
-        beta_ext(2.0, -1.0)  # genuine pole
-
-
-def test_inc_beta_ext_continuation():
-    # recurrence consistency: B_x(p, q) = [x^p (1-x)^q + (p+q) B_x(p+1, q)]/p
-    x, q = 0.3, 2.0
-    for p in [-0.5, -1.5, -2.5]:
-        lhs = inc_beta_ext(x, p, q)
-        rhs = (x ** p * (1 - x) ** q + (p + q) * inc_beta_ext(x, p + 1.0, q)) / p
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-    # classical region must agree with the classical routine
-    assert inc_beta_ext(0.4, 1.5, 2.0) == pytest.approx(inc_beta(0.4, 1.5, 2.0), rel=1e-14)
