@@ -396,6 +396,21 @@ def _poly_eval(table: dict, s, R: float):
     return sum(float(c) * s ** k / R ** (k + 1) for k, c in table.items())
 
 
+def _reexpand_at_2r(table: dict) -> np.ndarray:
+    """Coefficients d_j, lowest power first, of the same polynomial in
+    u = 2 - s/R, sum_k c_k t^k = sum_j d_j u^j with t = s/R, summed exactly
+    before rounding to floats."""
+    out = [Fraction(0)] * (max(table) + 1)
+    for k, c in table.items():
+        for j in range(k + 1):
+            out[j] += c * math.comb(k, j) * 2 ** (k - j) * (-1) ** j
+    return np.array([float(d) for d in out])
+
+
+# the powers of s cancel as s -> 2R; powers of 2R - s keep full relative accuracy there
+_EX3_AT_2R = _reexpand_at_2r(_EX3_POLY)
+
+
 def _root_and_asin(geometry: BallGeometry, s) -> tuple:
     """sqrt(4R^2 - s^2) and asin(s/2R), clipped at s = 2R."""
     R = geometry.radius
@@ -421,10 +436,14 @@ def pdf_example_2d(geometry: BallGeometry, s):
 
 def pdf_example_3d(geometry: BallGeometry, s):
     """P_3(s) for the density rho ~ x^2 y^2 z^2 in a 3-ball (degree-17
-    polynomial); s a float or an ndarray."""
+    polynomial, summed in powers of 2R - s above s = 1.4R); s a float or an
+    ndarray."""
     if geometry.dimension != 3:
         raise UnsupportedError("this closed form is for n = 3")
-    out = _poly_eval(_EX3_POLY, _as_support(geometry, s), geometry.radius)
+    s = _as_support(geometry, s)
+    R = geometry.radius
+    near_2r = np.polynomial.polynomial.polyval((2.0 * R - s) / R, _EX3_AT_2R) / R
+    out = np.where(s > 1.4 * R, near_2r, _poly_eval(_EX3_POLY, s, R))
     return out if out.ndim else float(out)
 
 

@@ -1,8 +1,9 @@
 """Independently tabulated closed forms used as oracles by the test suite.
 
 Everything here is written down directly from the published closed-form
-expressions (uniform-ball PDFs for n = 2 and 4, and the equal-thickness
-2/3/4-shell region tables), evaluated in exact rational arithmetic where
+expressions (uniform-ball PDFs for n = 2 and 4, the equal-thickness
+2/3/4-shell region tables, and the hyperspherical cap volume behind the
+shell PDF in any dimension), evaluated in exact rational arithmetic where
 the comparison demands it.
 
 Two coefficients of the 4-shell table are known to be misprinted in
@@ -20,6 +21,8 @@ the corrected forms AND confirm that the misprinted ones genuinely disagree.
 from fractions import Fraction as F
 
 import math
+
+from scipy.special import betaincc
 
 
 def p2_closed(s: float, R: float = 1.0) -> float:
@@ -150,3 +153,51 @@ def nonzero(table: dict) -> dict:
     """Reference-table dict with structural zeros removed (coefficients can
     vanish for particular density values)."""
     return {k: c for k, c in table.items() if c != 0}
+
+
+# ---------------------------------------------------------------------------
+# Shells in any dimension from hyperspherical cap volumes
+# ---------------------------------------------------------------------------
+
+def _ball_volume(n: int, r: float) -> float:
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * r ** n
+
+
+def _cap_volume(n: int, r: float, h: float) -> float:
+    """Volume of the part of B_r beyond the hyperplane at signed distance h
+    from its centre: (|B_r|/2) I_{1-h^2/r^2}((n+1)/2, 1/2) for 0 <= h <= r
+    (Li 2011, "Concise formulas for the area and volume of a hyperspherical
+    cap"), and |B_r| minus the opposite cap for h < 0. The regularized beta
+    is taken as 1 - I_{h^2/r^2}(1/2, (n+1)/2), so a small h keeps its digits."""
+    if h >= r:
+        return 0.0
+    if h <= -r:
+        return _ball_volume(n, r)
+    cap = 0.5 * _ball_volume(n, r) * betaincc(0.5, (n + 1) / 2.0, (h / r) ** 2)
+    return cap if h >= 0.0 else _ball_volume(n, r) - cap
+
+
+def _overlap_volume(n: int, a: float, b: float, s: float) -> float:
+    """Volume of B_a(0) and B_b(s e) together: two caps cut by the radical
+    hyperplane at distance d = (s^2 + a^2 - b^2)/2s from the first centre."""
+    if s == 0.0:
+        return _ball_volume(n, min(a, b))
+    d = (s * s + a * a - b * b) / (2.0 * s)
+    return _cap_volume(n, a, d) + _cap_volume(n, b, s - d)
+
+
+def shells_cap_pdf(n: int, radii, densities, s: float) -> float:
+    """P_n(s) for the shell density rho = rho_k on r_{k-1} < r <= r_k.
+
+    With c_i = rho_i - rho_{i+1}, rho is the sum of the uniform balls
+    c_i 1[r <= r_i], so
+    P(s) = |S^(n-1)| s^(n-1) sum_ij c_i c_j V(r_i, r_j; s) / (sum_i c_i |B_{r_i}|)^2.
+    """
+    radii = [float(r) for r in radii]
+    dens = [float(d) for d in densities] + [0.0]
+    c = [dens[i] - dens[i + 1] for i in range(len(radii))]
+    mass = sum(ci * _ball_volume(n, r) for ci, r in zip(c, radii))
+    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    overlap = sum(ci * cj * _overlap_volume(n, a, b, s)
+                  for ci, a in zip(c, radii) for cj, b in zip(c, radii))
+    return area * s ** (n - 1) * overlap / mass ** 2

@@ -1,5 +1,6 @@
 """Hyperspherical machinery, rotation operator, master formula, examples."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from nballdist import (
     spherical_to_cartesian,
 )
 from nballdist.arbitrary import (
+    _EX3_POLY,
     _master_norm,
     _master_unnormalized_quad,
     _quad_levels,
@@ -193,6 +195,16 @@ def test_example_values_frozen():
     assert pdf_example_2d(BallGeometry(2, 1.0), 1.0) == pytest.approx(0.4002517965573418, rel=1e-13)
     assert pdf_example_3d(BallGeometry(3, 1.0), 1.0) == pytest.approx(396315.0 / 585728.0, rel=1e-13)
     assert pdf_example_4d(BallGeometry(4, 1.0), 1.0) == pytest.approx(0.4889745270695727, rel=1e-13)
+
+
+def test_example_3d_matches_exact_rationals_up_to_2r():
+    # the powers of s cancel near s = 2R; the closed form must keep its relative accuracy
+    g = BallGeometry(3, 1.0)
+    s = np.linspace(0.0, 2.0, 4002)[1:-1]
+    got = pdf_example_3d(g, s)
+    for x, v in zip(s, got):
+        exact = float(sum(c * Fraction(float(x)) ** k for k, c in _EX3_POLY.items()))
+        assert v == pytest.approx(exact, rel=1e-12), x
 
 
 def test_examples_scale_covariance():

@@ -101,6 +101,17 @@ def test_pdf_shells_continuous_and_emits_polynomial(tmp_path):
     assert "sh.shells.json" in manifest["outputs"]
 
 
+@pytest.mark.parametrize("n", ["1", "4"])
+def test_pdf_shells_numeric_route_endpoints(tmp_path, n):
+    assert run(tmp_path, "pdf", "-n", n, "--density", "shells:0.5,1.0;1,2",
+               "--grid", "11", "-o", "sh.csv") == 0
+    _, rows = read_csv(tmp_path / "sh.csv")
+    assert [float(r[0]) for r in rows] == pytest.approx(np.linspace(0.0, 2.0, 11).tolist())
+    assert float(rows[-1][1]) == 0.0
+    if n == "4":
+        assert float(rows[0][1]) == 0.0
+
+
 def test_pdf_representation_flag(tmp_path):
     assert run(tmp_path, "pdf", "-n", "5", "--density", "uniform", "--grid", "11",
                "--representation", "odd_series", "-o", "odd.csv") == 0

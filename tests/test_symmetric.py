@@ -120,6 +120,42 @@ def test_numeric_rejects_bad_input():
         pdf_radial_numeric(G3, Gaussian(1.0), 0.5)
 
 
+SHELL_SETS = [((0.5, 1.0), (1.0, 2.0)),
+              ((0.25, 0.5, 0.75, 1.0), (1.0, 2.0, 3.0, 4.0)),
+              ((0.3, 0.9, 1.0), (3.0, 0.0, 1.5))]
+SHELL_S = [1e-6, 1e-3, 0.1, 0.3, 0.6, 0.8, 1.0, 1.2, 1.5, 1.8, 1.99, 1.999999]
+
+
+def test_cap_volume_oracle_matches_closed_forms():
+    # the oracle is the n = 3 shell polynomial and, for one shell, the uniform ball
+    for radii, dens in SHELL_SETS:
+        shells = MultiShell(radii, dens)
+        for s in SHELL_S:
+            assert ref.shells_cap_pdf(3, radii, dens, s) == pytest.approx(
+                pdf_multishell(G3, shells, s), abs=1e-13)
+    for n in (1, 2, 4, 5, 6):
+        g = BallGeometry(n, 1.0)
+        for s in SHELL_S:
+            assert ref.shells_cap_pdf(n, (1.0,), (1.0,), s) == pytest.approx(
+                pdf_uniform(g, s), abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 6])
+@pytest.mark.parametrize("radii,dens", SHELL_SETS)
+def test_numeric_shells_match_cap_volume_oracle(n, radii, dens):
+    g = BallGeometry(n, 1.0)
+    shells = MultiShell(radii, dens)
+    for s in SHELL_S:
+        assert pdf_radial_numeric(g, shells, s) == pytest.approx(
+            ref.shells_cap_pdf(n, radii, dens, s), abs=1e-10), s
+
+
+def test_numeric_shells_n1_cuts_at_s_plus_r():
+    # for n = 1 the slice function jumps at x = s + r_k as well as at r_k and s - r_k
+    shells = MultiShell((0.5, 1.0), (1.0, 2.0))
+    assert pdf_radial_numeric(BallGeometry(1, 1.0), shells, 0.001) == pytest.approx(1.11, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian family
 # ---------------------------------------------------------------------------
