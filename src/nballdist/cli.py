@@ -112,9 +112,9 @@ def resolve_evaluator(geometry: BallGeometry, density, representation=None):
         return lambda s: symmetric.pdf_radial_parabolic(geometry, density.alpha, s)
     if isinstance(density, RadialPolynomial) and n == 3 and density.coefficients == (0.0, 0.0, 1.0):
         return lambda s: symmetric.pdf_radial_r2(geometry, s)
-    if isinstance(density, MultiShell) and n == 3:
+    if isinstance(density, MultiShell):
         return lambda s: symmetric.pdf_multishell(geometry, density, s)
-    if isinstance(density, (RadialPolynomial, ParabolicRadial, MultiShell)):
+    if isinstance(density, (RadialPolynomial, ParabolicRadial)):
         return _pointwise(lambda s: symmetric.pdf_radial_numeric(geometry, density, s))
     if isinstance(density, CartesianMonomial):
         exps = density.exponents
@@ -192,8 +192,7 @@ def cmd_compare(args) -> int:
     hist = empirical_pair_pdf_parallel(geometry, density, args.pairs, args.bins,
                                        args.seed, max_workers=args.threads)
     analytic = evaluator
-    if isinstance(density, (RadialPolynomial, ParabolicRadial, MultiShell)) and not (
-            geometry.dimension == 3):
+    if isinstance(density, (RadialPolynomial, ParabolicRadial)) and geometry.dimension != 3:
         # numeric radial evaluator is expensive; feed compare a dense curve
         grid = np.linspace(0.0, geometry.diameter, 513)
         analytic = montecarlo.PdfCurve(grid, evaluator(grid))

@@ -256,8 +256,7 @@ def density_radial_value(model: DensityModel, r, geometry: BallGeometry = None):
         radii = np.array([float(v) for v in model.radii])
         dens = np.array([float(v) for v in model.densities])
         idx = np.searchsorted(radii, r, side="left")
-        out = np.where(idx < len(dens), dens[np.minimum(idx, len(dens) - 1)], 0.0)
-        return out
+        return np.where(idx < len(dens), dens[np.minimum(idx, len(dens) - 1)], 0.0)
     else:
         raise InvalidDensityError(f"{type(model).__name__} is not a radial density")
     if geometry is not None:
@@ -411,11 +410,17 @@ def hyp2f1_halfint(n: int, x: float) -> float:
 
 def inc_gamma_upper(a: float, b: float) -> float:
     """Upper incomplete gamma Gamma(a, b) = int_b^inf t^(a-1) e^(-t) dt, a >= 0, b > 0;
-    Gamma(0, b) is the exponential integral E_1(b)."""
+    Gamma(0, b) is the exponential integral E_1(b). Q(a, b) Gamma(a) is formed
+    in log space, since Gamma(a) alone overflows for a > 171; a value outside
+    the double range raises PrecisionError."""
     if not (b > 0.0):
         raise DomainError(f"inc_gamma_upper requires b > 0, got {b!r}")
     if a < 0.0:
         raise DomainError(f"inc_gamma_upper requires a >= 0, got {a!r}")
     if a == 0.0:
         return float(special.exp1(b))
-    return float(special.gammaincc(a, b)) * math.exp(math.lgamma(a))
+    with np.errstate(divide="ignore", over="ignore"):
+        value = np.exp(np.log(special.gammaincc(a, b)) + math.lgamma(a))
+    if not 0.0 < value < math.inf:
+        raise PrecisionError(f"Gamma({a!r}, {b!r}) lies outside the double range")
+    return float(value)

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from ._rng import CounterStream
 from .core import (
@@ -35,8 +36,6 @@ from .core import (
     Uniform,
     density_bound,
     density_value,
-    inc_gamma_upper,
-    log_gamma,
 )
 
 __all__ = [
@@ -147,6 +146,8 @@ def _multishell_points(geometry: BallGeometry, model: MultiShell,
                        stream: CounterStream, count: int) -> np.ndarray:
     n = geometry.dimension
     radii = np.array([float(r) for r in model.radii])
+    if radii[-1] > geometry.radius:
+        raise InvalidDensityError(f"outermost shell boundary {radii[-1]} exceeds R = {geometry.radius}")
     dens = np.array([float(d) for d in model.densities])
     rn = np.concatenate([[0.0], radii ** n])
     mass = dens * np.diff(rn)
@@ -276,13 +277,9 @@ def merge_histograms(*hists: DistanceHistogram) -> DistanceHistogram:
 
 
 def chi_square_survival(chi2: float, dof: int) -> float:
-    """Upper-tail probability of the chi-square distribution,
-    Q(dof/2, chi2/2) through the incomplete gamma kernel."""
-    if chi2 <= 0.0:
-        return 1.0
-    if math.isinf(chi2):
-        return 0.0
-    return inc_gamma_upper(dof / 2.0, chi2 / 2.0) / math.exp(log_gamma(dof / 2.0))
+    """Upper-tail probability of the chi-square distribution, the regularized
+    Q(dof/2, chi2/2), which stays in range for every dof."""
+    return float(special.gammaincc(dof / 2.0, max(chi2, 0.0) / 2.0))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)

@@ -1,26 +1,27 @@
 """Pair-distance PDFs for spherically symmetric densities.
 
 Covers the two printed radial closed forms in three dimensions (rho ~ r^2 and
-the parabolic family rho ~ 1 - alpha r^2/R^2), a general numeric evaluator for
-any radial profile, the Gaussian family on infinite support, and exact
-piecewise-polynomial PDFs for piecewise-constant (multi-shell) densities.
+the parabolic family rho ~ 1 - alpha r^2/R^2), a numeric evaluator for smooth
+radial profiles, the Gaussian family on infinite support, and piecewise-
+constant (multi-shell) densities in every dimension.
 
 The multi-shell construction expresses each shell as a difference of uniform
 balls and expands the pair kernel bilinearly over ball pairs using the
-two-radius overlap volume, keeping every coefficient in rational arithmetic.
-That reproduces the printed equal-thickness 2/3/4-shell tables and extends to
-arbitrary boundaries and shell counts.
+two-radius overlap volume. At n = 3 every coefficient is kept in rational
+arithmetic, which reproduces the printed equal-thickness 2/3/4-shell tables
+and extends to arbitrary boundaries and shell counts; in other dimensions the
+overlap volume is a sum of two hyperspherical caps.
 """
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
 from .core import (
@@ -31,13 +32,13 @@ from .core import (
     InvalidDensityError,
     MultiShell,
     ParabolicRadial,
+    PrecisionError,
     RadialPolynomial,
     Uniform,
     UnsupportedError,
     _as_support,
     density_is_radial,
     density_mass,
-    density_radial_value,
     log_gamma,
     sphere_area,
 )
@@ -117,46 +118,28 @@ def _scalar_radial(density: DensityModel, geometry: BallGeometry):
     if isinstance(density, ParabolicRadial):
         alpha = density.alpha
         return lambda r: 1.0 - alpha * (r / R) ** 2 if r <= R else 0.0
-    if isinstance(density, MultiShell):
-        radii = [float(v) for v in density.radii]
-        dens = [float(v) for v in density.densities]
-
-        def shell(r):
-            i = bisect_left(radii, r)
-            return dens[i] if i < len(dens) else 0.0
-        return shell
-    return lambda r: float(density_radial_value(density, r, geometry))
 
 
 def _radial_unnormalized(geometry: BallGeometry, density: DensityModel, s: float,
                          epsabs: float) -> float:
     """s^(n-1) * int over the lens of rho(X) rho(X - s e_n), reduced to one
-    integral over the slice height x in [s/2, R] of the slice integral J(x).
+    integral over the slice height x in [s/2, R] of the slice integral J(x),
+    for a smooth profile (uniform, radial polynomial or parabolic).
 
     For n >= 2, J(x) is the integral over the perpendicular (n-1)-ball of
     radius sqrt(R^2 - x^2), a radial integral in t weighted by the (n-2)-sphere
     area; for n = 1 the slice is the single point, J(x) = rho(x) rho(|x - s|).
-    J has algebraic edges: the factor (R^2 - x^2)^((n-1)/2) at x = R, and
-    square-root kinks where a shell boundary enters the slice (x = r_k, s - r_k,
-    s + r_k) or where two shell circles cross on it, x = (r_i^2 - r_j^2 + s^2)/2s.
-    [s/2, R] is cut at all of these, and piece i is mapped to v in [i, i+1] by
-    x = lo + h (1 - cos pi (v - i)), h its half width, whose Jacobian vanishes
-    at both ends and smooths every such edge; one QUADPACK call then integrates
-    over all pieces. With no edge left for bisection to chase, it needs 21
-    outer evaluations for a smooth profile (QUADPACK's first 21-node rule) and
-    about 55 for two shells, and the error follows the inner request
-    ``epsabs`` rather than an unresolved kink.
+    J has an algebraic edge at x = R, the factor (R^2 - x^2)^((n-1)/2); the
+    map x = s/2 + h (1 - cos pi v), v in [0, 1], h the half width of [s/2, R],
+    has a Jacobian that vanishes at both ends and smooths it, so QUADPACK's
+    first 21-node rule usually meets the request.
     """
     n, R = geometry.dimension, geometry.radius
     rho = _scalar_radial(density, geometry)
 
     if s >= 2.0 * R:
         return 0.0
-    radii = tuple(float(r) for r in density.radii) if isinstance(density, MultiShell) else ()
-    events = {p for r in radii for p in (r, s - r, s + r)}
-    if s > 0.0:
-        events.update((a * a - b * b + s * s) / (2.0 * s) for a in radii for b in radii)
-    cuts = [s / 2.0] + sorted(p for p in events if s / 2.0 < p < R) + [R]
+    lo, h = s / 2.0, (R - s / 2.0) / 2.0
 
     if n == 1:
         def slice_integral(x):
@@ -164,30 +147,16 @@ def _radial_unnormalized(geometry: BallGeometry, density: DensityModel, s: float
     else:
         def slice_integral(x):
             tmax = math.sqrt(max(R * R - x * x, 0.0))
-            if tmax == 0.0:
-                return 0.0
-            tk = []
-            for rk in radii:
-                if abs(x) < rk:
-                    tk.append(math.sqrt(rk * rk - x * x))
-                if abs(x - s) < rk:
-                    tk.append(math.sqrt(rk * rk - (x - s) ** 2))
-            tk = sorted({t for t in tk if 0.0 < t < tmax})
-            val, _ = quad(lambda t: t ** (n - 2) * rho(math.hypot(x, t)) * rho(math.hypot(x - s, t)),
-                          0.0, tmax, epsabs=epsabs, limit=200, points=tk or None)
-            return val
+            return quad(lambda t: t ** (n - 2) * rho(math.hypot(x, t)) * rho(math.hypot(x - s, t)),
+                        0.0, tmax, epsabs=epsabs, limit=200)[0]
 
     def outer(v):
-        i = min(int(v), len(cuts) - 2)
-        lo, h = cuts[i], (cuts[i + 1] - cuts[i]) / 2.0
-        u = math.pi * (v - i)
+        u = math.pi * v
         return slice_integral(lo + h * (1.0 - math.cos(u))) * h * math.pi * math.sin(u)
 
-    pieces = len(cuts) - 1
     # the outer request must sit above the inner quadrature's noise floor,
     # otherwise QUADPACK flags spurious roundoff
-    val, _ = quad(outer, 0.0, pieces, epsabs=30.0 * epsabs, limit=200,
-                  points=list(range(1, pieces)) or None)
+    val, _ = quad(outer, 0.0, 1.0, epsabs=30.0 * epsabs, limit=200)
     if n == 1:
         return val
     surf = 2.0 * math.pi ** ((n - 1) / 2.0) / math.exp(log_gamma((n - 1) / 2.0))
@@ -196,19 +165,18 @@ def _radial_unnormalized(geometry: BallGeometry, density: DensityModel, s: float
 
 def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s: float,
                        tol: float = 1e-8) -> float:
-    """P_n(s) for an arbitrary radial density by nested adaptive quadrature.
+    """P_n(s) for an arbitrary radial density.
 
-    The n-fold integral collapses to two nested one-dimensional quadratures
-    because the inner n-2 angular integrals are the volume factor of the
-    perpendicular (n-1)-ball. The outer one runs over the slice height
-    x in [s/2, R], cut at every shell event (r_k, s - r_k, s + r_k and the
-    crossing heights of two shell circles) and cosine-mapped on each piece,
-    which smooths the algebraic edges there (see ``_radial_unnormalized``).
-    The curve is divided by its exact integral over [0, 2R],
+    Shells (``MultiShell``) take the exact cap-volume sum of ``_shells_pdf``;
+    ``tol`` does not apply to them. Smooth profiles take nested adaptive
+    quadrature: the n-fold integral collapses to two nested one-dimensional
+    quadratures because the inner n-2 angular integrals are the volume
+    factor of the perpendicular (n-1)-ball, and the outer one runs over the
+    slice height x in [s/2, R], cosine-mapped (see ``_radial_unnormalized``).
+    That curve is divided by its exact integral over [0, 2R],
     (Int_B rho)^2 / (2 |S^(n-1)|) from ``density_mass``, so it has unit mass
-    up to the quadrature error. The absolute error stays within ``tol`` in
-    every case checked; at the default it is below 1e-13 against the
-    hyperspherical-cap form for shells in n = 1..6 and against the closed
+    up to the quadrature error. Its absolute error stays within ``tol`` in
+    every case checked; at the default it is below 1e-13 against the closed
     forms for smooth profiles.
     """
     if not density_is_radial(density):
@@ -217,6 +185,8 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s: float,
         raise UnsupportedError("Gaussian support exceeds the ball; use pdf_gaussian")
     if tol < 1e-12:
         raise UnsupportedError("tolerances below 1e-12 are not supported")
+    if isinstance(density, MultiShell):
+        return _shells_pdf(geometry, density, s)
     _as_support(geometry, s)
     norm = density_mass(density, geometry) ** 2 / (2.0 * sphere_area(geometry.dimension))
     if norm <= 0.0:
@@ -421,12 +391,63 @@ def multishell_polynomial(geometry: BallGeometry, shells: MultiShell) -> Piecewi
     coefficients are exact rationals in the shell radii and densities.
     """
     if geometry.dimension != 3:
-        raise UnsupportedError("shell models are implemented for n = 3 only")
+        raise UnsupportedError("the exact shell polynomial is n = 3 only; pdf_multishell takes any n")
     return _multishell_polynomial_cached(
         geometry.dimension, Fraction(geometry.radius), shells.radii, shells.densities)
 
 
 def pdf_multishell(geometry: BallGeometry, shells: MultiShell, s):
-    """P_3(s) for a multi-shell density (float evaluation of the exact
-    polynomial); s a float or an ndarray."""
-    return multishell_polynomial(geometry, shells)(_as_support(geometry, s))
+    """P_n(s) for a multi-shell density in any dimension; s a float or an
+    ndarray. At n = 3 it is the float evaluation of the exact polynomial,
+    elsewhere the cap-volume sum of ``_shells_pdf``."""
+    if geometry.dimension == 3:
+        return multishell_polynomial(geometry, shells)(_as_support(geometry, s))
+    return _shells_pdf(geometry, shells, s)
+
+
+def _shells_pdf(geometry: BallGeometry, shells: MultiShell, s):
+    """P_n(s) for shells as a sum of two-ball overlap volumes, exact in every n.
+
+    With c_i = d_i - d_(i+1) (d_(K+1) = 0) the density is the sum of the
+    uniform balls c_i 1[r <= r_i], so, with every volume taken over that of
+    the ball of radius R,
+    P(s) = n (s/R)^(n-1) sum_ij c_i c_j V(r_i, r_j; s) / (sum_i c_i (r_i/R)^n)^2 / R.
+    V(a, b; s) is the two caps cut off by the radical hyperplane at
+    h = (s^2 + a^2 - b^2)/2s from the first centre, V = C(a, h) + C(b, s - h),
+    and V(a, b; 0) = (min(a, b)/R)^n. The cap of the ball of radius r beyond
+    distance h >= 0 is C(r, h) = (r/R)^n I_y((n+1)/2, 1/2) / 2 with
+    y = 1 - h^2/r^2 (Li 2011, "Concise formulas for the area and volume of a
+    hyperspherical cap"), and C(r, h) = (r/R)^n - C(r, -h) for h < 0. The
+    beta function is fed the exact pair: y = (r - h)(r + h)/r^2 directly where
+    y < 1/2, so caps near s = 2R keep their digits, and 1 - I_x(1/2, (n+1)/2),
+    x = h^2/r^2, elsewhere. ``s`` is a float or an ndarray in [0, 2R]. Raises
+    PrecisionError where a value leaves the double range ((s/R)^(n-1)
+    overflows near s = 2R once n > 1024).
+    """
+    n, R = geometry.dimension, geometry.radius
+    radii = [float(r) for r in shells.radii]
+    if radii[-1] > R:
+        raise InvalidDensityError(f"outermost shell boundary {radii[-1]} exceeds the ball radius {R}")
+    c = [float(d) - float(e) for d, e in zip(shells.densities, shells.densities[1:] + (0.0,))]
+    s = _as_support(geometry, s)
+
+    def cap(r, h):
+        x, y = (h / r) ** 2, ((r - h) / r) * ((r + h) / r)
+        tail = np.where(x <= 0.5, special.betaincc(0.5, (n + 1) / 2.0, x),
+                        special.betainc((n + 1) / 2.0, 0.5, np.clip(y, 0.0, 1.0)))
+        return (r / R) ** n * np.where(h >= 0.0, 0.5 * tail, 1.0 - 0.5 * tail)
+
+    with np.errstate(all="ignore"):
+        total = np.zeros_like(s)
+        for ci, a in zip(c, radii):
+            for cj, b in zip(c, radii):
+                # s - h for the second height keeps the two summing to s; the
+                # s = 0 lanes divide by zero and are replaced by the limit
+                h = 0.5 * (s + (a - b) / s * (a + b))
+                total += ci * cj * np.where(s > 0.0, cap(a, h) + cap(b, s - h), (min(a, b) / R) ** n)
+        mass = sum(ci * (r / R) ** n for ci, r in zip(c, radii))
+        # np.power, not **, so that a float and an array element agree bit for bit
+        out = n * np.power(s / R, n - 1) * total / (mass * mass) / R
+    if not np.all(np.isfinite(out)):
+        raise PrecisionError(f"shell PDF leaves the double range at n={n}")
+    return out if out.ndim else float(out)

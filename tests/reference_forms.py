@@ -4,7 +4,8 @@ Everything here is written down directly from the published closed-form
 expressions (uniform-ball PDFs for n = 2 and 4, the equal-thickness
 2/3/4-shell region tables, and the hyperspherical cap volume behind the
 shell PDF in any dimension), evaluated in exact rational arithmetic where
-the comparison demands it.
+the comparison demands it. The shell PDF also has a second, independent
+oracle: nested adaptive quadrature of the overlap integral.
 
 Two coefficients of the 4-shell table are known to be misprinted in
 circulating tabulations; both misprints break the continuity of the PDF at
@@ -18,10 +19,12 @@ assembly is continuous by construction:
 The tables below carry both variants so tests can verify the assembly against
 the corrected forms AND confirm that the misprinted ones genuinely disagree.
 """
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import math
 
+from scipy.integrate import quad
 from scipy.special import betaincc
 
 
@@ -201,3 +204,69 @@ def shells_cap_pdf(n: int, radii, densities, s: float) -> float:
     overlap = sum(ci * cj * _overlap_volume(n, a, b, s)
                   for ci, a in zip(c, radii) for cj, b in zip(c, radii))
     return area * s ** (n - 1) * overlap / mass ** 2
+
+
+def shells_quadpack_pdf(n: int, radii, densities, s: float, epsabs: float = 1e-10) -> float:
+    """P_n(s) for the same shell density by nested QUADPACK, R = radii[-1].
+
+    The overlap integral of rho(X) rho(X - s e) reduces to an outer integral
+    over the slice height x in [s/2, R] of the slice integral J(x): for
+    n >= 2 a radial integral in t over the perpendicular (n-1)-ball of radius
+    sqrt(R^2 - x^2), weighted by the (n-2)-sphere area; for n = 1 the point
+    value rho(x) rho(|x - s|). J has square-root kinks where a shell boundary
+    enters the slice (x = r_k, s - r_k, s + r_k) or two shell circles cross on
+    it, x = (r_i^2 - r_j^2 + s^2)/2s. [s/2, R] is cut at all of these, piece i
+    is mapped to v in [i, i+1] by x = lo + h (1 - cos pi (v - i)), whose
+    Jacobian smooths every edge, and the inner integral is split where t
+    meets a shell boundary. The curve is divided by its exact integral,
+    (sum_i c_i |B_(r_i)|)^2 / (2 |S^(n-1)|).
+    """
+    radii = [float(r) for r in radii]
+    dens = [float(d) for d in densities]
+    R = radii[-1]
+    if s >= 2.0 * R:
+        return 0.0
+
+    def rho(r):
+        i = bisect_left(radii, r)
+        return dens[i] if i < len(dens) else 0.0
+
+    events = {p for r in radii for p in (r, s - r, s + r)}
+    if s > 0.0:
+        events.update((a * a - b * b + s * s) / (2.0 * s) for a in radii for b in radii)
+    cuts = [s / 2.0] + sorted(p for p in events if s / 2.0 < p < R) + [R]
+
+    if n == 1:
+        def slice_integral(x):
+            return rho(x) * rho(abs(x - s))
+    else:
+        def slice_integral(x):
+            tmax = math.sqrt(max(R * R - x * x, 0.0))
+            if tmax == 0.0:
+                return 0.0
+            tk = []
+            for rk in radii:
+                if abs(x) < rk:
+                    tk.append(math.sqrt(rk * rk - x * x))
+                if abs(x - s) < rk:
+                    tk.append(math.sqrt(rk * rk - (x - s) ** 2))
+            tk = sorted({t for t in tk if 0.0 < t < tmax})
+            val, _ = quad(lambda t: t ** (n - 2) * rho(math.hypot(x, t)) * rho(math.hypot(x - s, t)),
+                          0.0, tmax, epsabs=epsabs, limit=200, points=tk or None)
+            return val
+
+    def outer(v):
+        i = min(int(v), len(cuts) - 2)
+        lo, h = cuts[i], (cuts[i + 1] - cuts[i]) / 2.0
+        u = math.pi * (v - i)
+        return slice_integral(lo + h * (1.0 - math.cos(u))) * h * math.pi * math.sin(u)
+
+    pieces = len(cuts) - 1
+    val, _ = quad(outer, 0.0, pieces, epsabs=30.0 * epsabs, limit=200,
+                  points=list(range(1, pieces)) or None)
+    c = [d - e for d, e in zip(dens, dens[1:] + [0.0])]
+    mass = sum(ci * _ball_volume(n, r) for ci, r in zip(c, radii))
+    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    if n > 1:
+        val *= s ** (n - 1) * 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
+    return val / (mass * mass / (2.0 * area))

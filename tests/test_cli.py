@@ -325,19 +325,34 @@ def test_compare_monomial_deterministic_across_threads(tmp_path):
         (tmp_path / "m2.report.json").read_bytes()
 
 
-def test_compare_shells_other_dimension_uses_curve(tmp_path, monkeypatch):
-    # the numeric radial route is evaluated on the 513-point comparison curve
-    # and the 64 CSV midpoints only, not at every bin-mass quadrature node
+def test_compare_shells_other_dimension_skips_numeric_route(tmp_path, monkeypatch):
+    # shells take the cap-volume sum in every n: no nested quadrature and no
+    # interpolated comparison curve
     from nballdist import symmetric
     calls = []
 
-    def counting(geometry, density, s):
-        calls.append(s)
+    def counting(*args, **kwargs):
+        calls.append(args)
         return 1.0
     monkeypatch.setattr(symmetric, "pdf_radial_numeric", counting)
-    run(tmp_path, "compare", "-n", "4", "--density", "shells:0.5,1.0;1,2",
-        "--pairs", "20000", "--bins", "64", "--seed", "42", "-o", "sh4")
-    assert 0 < len(calls) <= 513 + 64
+    monkeypatch.setattr(symmetric, "_radial_unnormalized", counting)
+    assert run(tmp_path, "compare", "-n", "4", "--density", "shells:0.5,1.0;1,2",
+               "--pairs", "20000", "--bins", "64", "--seed", "42", "-o", "sh4") == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", ["2", "3", "4"])
+def test_compare_shells_beyond_the_ball_exit_3(tmp_path, n):
+    assert run(tmp_path, "compare", "-n", n, "--density", "shells:0.5,2.0;1,1",
+               "--pairs", "2000", "--bins", "16", "--seed", "1", "-o", "out") == 3
+
+
+def test_compare_many_bins(tmp_path):
+    # dof 392: the chi-square tail no longer overflows through Gamma(dof/2)
+    assert run(tmp_path, "compare", "-n", "3", "--density", "uniform", "--pairs", "1000000",
+               "--bins", "400", "--seed", "1", "-o", "wide") == 0
+    report = json.loads((tmp_path / "wide.report.json").read_text())
+    assert report["dof"] > 343 and 0.001 <= report["p_value"] <= 1.0
 
 
 def test_compare_repeated_runs_byte_identical(tmp_path):

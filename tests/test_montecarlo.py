@@ -123,6 +123,13 @@ def test_multishell_sampler_mass_split():
     assert abs(inner - want) <= 3.0 * math.sqrt(want * (1 - want) / len(r))
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_multishell_sampler_refuses_shells_beyond_the_ball(n):
+    with pytest.raises(InvalidDensityError):
+        sample_density(BallGeometry(n, 1.0), MultiShell((0.5, 2.0), (1.0, 1.0)),
+                       SamplerConfig(seed=3, count=10))
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_multishell_sampler_radial_cdf(n):
     # shell masses grow as r^n, so F(r) = sum_k rho_k (min(r, r_k)^n - r_{k-1}^n) / total
@@ -298,6 +305,13 @@ def test_chi_square_survival_sanity():
     assert chi_square_survival(math.inf, 10) == 0.0
     # median of chi2 with k dof is roughly k - 2/3
     assert 0.4 < chi_square_survival(9.33, 10) < 0.6
+
+
+@pytest.mark.parametrize("dof", [1, 7, 63, 343, 344, 392, 1000, 2000])
+def test_chi_square_survival_against_scipy(dof):
+    for chi2 in dof * np.array([0.05, 0.5, 0.9, 1.0, 1.1, 1.5, 3.0]):
+        assert chi_square_survival(float(chi2), dof) == pytest.approx(
+            stats.chi2.sf(chi2, dof), rel=1e-12)
 
 
 def test_gaussian_compare_against_closed_form():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nballdist.core import (
     DomainError,
+    PrecisionError,
     beta,
     double_factorial,
     hyp2f1_halfint,
@@ -161,6 +162,17 @@ def test_inc_gamma_against_mpmath():
         for b in [1e-4, 0.1, 0.9, 1.5, 4.0, 25.0]:
             want = float(mp.gammainc(mp.mpf(a), mp.mpf(b)))
             assert inc_gamma_upper(a, b) == pytest.approx(want, rel=1e-10)
+
+
+def test_inc_gamma_large_order():
+    # Gamma(a) alone overflows for a > 171; the product is formed in log space
+    for a, b in [(171.5, 400.0), (172.0, 400.0), (200.0, 600.0)]:
+        want = float(mp.gammainc(mp.mpf(a), mp.mpf(b)))
+        assert inc_gamma_upper(a, b) == pytest.approx(want, rel=1e-12)
+    # 2.3e-212 with Q(a, b) below the double range; 1e612 above it
+    for a, b in [(200.0, 2000.0), (300.0, 1.0)]:
+        with pytest.raises(PrecisionError):
+            inc_gamma_upper(a, b)
 
 
 def test_inc_gamma_domain():

@@ -3,13 +3,15 @@ import json
 import math
 from fractions import Fraction as F
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import reference_forms as ref
 from nballdist.core import density_mass, sphere_area
-from nballdist.symmetric import _radial_unnormalized
+from nballdist.symmetric import _radial_unnormalized, _shells_pdf
 from nballdist import (
     BallGeometry,
     DomainError,
@@ -18,6 +20,7 @@ from nballdist import (
     InvalidDensityError,
     MultiShell,
     ParabolicRadial,
+    PrecisionError,
     RadialPolynomial,
     Uniform,
     UnsupportedError,
@@ -102,13 +105,20 @@ def test_numeric_matches_parabolic():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_numeric_kernel_integrates_to_exact_norm(n):
     g = BallGeometry(n, 1.0)
-    for density, kinks in ((ParabolicRadial(0.5), None),
-                           (MultiShell((0.5, 1.0), (1.0, 2.0)), [0.5, 1.0, 1.5])):
-        total, _ = quad(lambda s: _radial_unnormalized(g, density, s, 1e-8), 0.0, 2.0,
-                        epsabs=1e-6, limit=200, points=kinks)
-        # the half-lens kernel without the direction measure carries 1/(2 |S^(n-1)|)
-        exact = density_mass(density, g) ** 2 / (2.0 * sphere_area(n))
-        assert total == pytest.approx(exact, rel=1e-6), density
+    density = ParabolicRadial(0.5)
+    total, _ = quad(lambda s: _radial_unnormalized(g, density, s, 1e-8), 0.0, 2.0,
+                    epsabs=1e-6, limit=200)
+    # the half-lens kernel without the direction measure carries 1/(2 |S^(n-1)|)
+    exact = density_mass(density, g) ** 2 / (2.0 * sphere_area(n))
+    assert total == pytest.approx(exact, rel=1e-6)
+    # shells take the cap-volume sum, which is normalized: unit mass, split at
+    # every kink |r_i - r_j|, r_i + r_j
+    shells = MultiShell((0.5, 1.0), (1.0, 2.0))
+    kinks = sorted({abs(a + sign * b) for a in shells.radii for b in shells.radii
+                    for sign in (1, -1)} - {0.0, 2.0})
+    total, _ = quad(lambda s: _shells_pdf(g, shells, s), 0.0, 2.0,
+                    epsabs=1e-13, epsrel=1e-13, limit=200, points=kinks)
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_numeric_rejects_bad_input():
@@ -143,15 +153,90 @@ def test_cap_volume_oracle_matches_closed_forms():
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 6])
 @pytest.mark.parametrize("radii,dens", SHELL_SETS)
 def test_numeric_shells_match_cap_volume_oracle(n, radii, dens):
+    # the cap-volume oracle shares the package's formula; nested QUADPACK
+    # over the overlap integral is the independent check
     g = BallGeometry(n, 1.0)
     shells = MultiShell(radii, dens)
     for s in SHELL_S:
-        assert pdf_radial_numeric(g, shells, s) == pytest.approx(
-            ref.shells_cap_pdf(n, radii, dens, s), abs=1e-10), s
+        value = pdf_radial_numeric(g, shells, s)
+        assert value == pytest.approx(ref.shells_cap_pdf(n, radii, dens, s), abs=1e-10), s
+        assert value == pytest.approx(ref.shells_quadpack_pdf(n, radii, dens, s), abs=1e-10), s
+    assert pdf_multishell(g, shells, np.array(SHELL_S)).tolist() == \
+        [pdf_radial_numeric(g, shells, s) for s in SHELL_S]
+
+
+def _mp_shells_pdf(n, radii, dens, s):
+    """The cap-volume shell PDF at the working mpmath precision, unscaled."""
+    s = mp.mpf(s)
+    radii = [mp.mpf(r) for r in radii]
+    dens = [mp.mpf(d) for d in dens] + [0]
+    c = [dens[i] - dens[i + 1] for i in range(len(radii))]
+    unit = mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)
+
+    def cap(r, h):
+        if h >= r:
+            return mp.mpf(0)
+        if h <= -r:
+            return unit * r ** n
+        half = unit * r ** n / 2 * mp.betainc(mp.mpf(n + 1) / 2, mp.mpf(1) / 2, 0,
+                                              1 - (h / r) ** 2, regularized=True)
+        return half if h >= 0 else unit * r ** n - half
+
+    overlap = 0
+    for ci, a in zip(c, radii):
+        for cj, b in zip(c, radii):
+            h = (s * s + a * a - b * b) / (2 * s)
+            overlap += ci * cj * (cap(a, h) + cap(b, s - h))
+    mass = sum(ci * unit * r ** n for ci, r in zip(c, radii))
+    return n * unit * s ** (n - 1) * overlap / mass ** 2
+
+
+# at n = 400 the caps near s = 2R underflow (1.7e-281 reads 0 at s = 1.99R),
+# so that grid stops at 1.9R
+@pytest.mark.parametrize("n,ts", [(20, (0.3, 0.8, 1.2, 1.41, 1.6, 1.9, 1.99, 1.999)),
+                                  (100, (0.3, 0.8, 1.2, 1.41, 1.6, 1.9, 1.99, 1.999)),
+                                  (400, (0.3, 0.8, 1.2, 1.41, 1.6, 1.9))])
+@pytest.mark.parametrize("R", [1.0, 1000.0])
+def test_shells_large_dimension_against_mpmath(n, ts, R):
+    with mp.workdps(50):
+        for radii, dens in SHELL_SETS:
+            radii = tuple(r * R for r in radii)
+            s = np.array(ts) * R
+            got = pdf_multishell(BallGeometry(n, R), MultiShell(radii, dens), s)
+            for v, x in zip(got, s):
+                assert v == pytest.approx(float(_mp_shells_pdf(n, radii, dens, x)), rel=1e-12), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8),
+       radii=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5, unique=True),
+       dens=st.lists(st.integers(0, 9), min_size=5, max_size=5).filter(any),
+       s=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8))
+def test_shells_random_sets_match_cap_volume_oracle(n, radii, dens, s):
+    radii = sorted(radii)
+    dens = dens[:len(radii)]
+    if not any(dens):
+        dens[-1] = 1
+    got = _shells_pdf(BallGeometry(n, 1.0), MultiShell(radii, dens), np.array(s))
+    for v, x in zip(got, s):
+        assert v == pytest.approx(ref.shells_cap_pdf(n, radii, dens, x), rel=1e-12, abs=1e-12), x
+
+
+def test_shells_overflow_is_a_precision_error():
+    shells = MultiShell((0.5, 1.0), (1.0, 2.0))
+    with pytest.raises(PrecisionError):
+        pdf_multishell(BallGeometry(1100, 1.0), shells, np.linspace(0.0, 2.0, 11))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_shells_beyond_the_ball_are_refused(n):
+    with pytest.raises(InvalidDensityError):
+        pdf_multishell(BallGeometry(n, 1.0), MultiShell((0.5, 2.0), (1.0, 1.0)), 0.5)
 
 
 def test_numeric_shells_n1_cuts_at_s_plus_r():
-    # for n = 1 the slice function jumps at x = s + r_k as well as at r_k and s - r_k
+    # P(s) = 10 (1 - s) / 9 on s < 1/2; nested quadrature once missed it for
+    # lack of a cut at x = s + r_k (the oracle keeps that cut)
     shells = MultiShell((0.5, 1.0), (1.0, 2.0))
     assert pdf_radial_numeric(BallGeometry(1, 1.0), shells, 0.001) == pytest.approx(1.11, rel=1e-12)
 
