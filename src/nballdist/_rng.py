@@ -18,23 +18,50 @@ mapping from (seed, stream, counter) to output is stateless, so any slice of
 the sequence can be generated on any worker.
 
 Normal deviates use the Box-Muller transform (two uniforms per pair), which
-keeps the uniform-word consumption deterministic.
+keeps the uniform-word consumption deterministic: for k normals, m = (k+1)/2
+pairs (rounded down) take u1 from the next m words and u2 from the m after
+them, and the output holds the m values r cos(2 pi u2) followed by the m
+values r sin(2 pi u2), r = sqrt(-2 log(1 - u1)), cut to k.
+
+Every method works through blocks of ``_BLOCK`` elements with in-place
+operations, so its scratch memory stays cache-sized whatever k is. Blocking
+never changes an output bit: each element is computed by the same operations
+in the same order as in one whole-array pass.
 """
 from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_SEED_XOR = np.uint64(0xA3EC647659359ACD)
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_SEED_XOR = 0xA3EC647659359ACD
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_TWO53 = float(1 << 53)
+_TO_UNIT = 2.0 ** -53  # (w >> 11) * 2^-53 is exactly (w >> 11) / 2^53
+
+# Elements per block. Outputs do not depend on it; it only sets the size of
+# the scratch arrays (32768 words are 256 KB, well inside L2).
+_BLOCK = 32768
+# (j + 1) * golden for j < _BLOCK: a block's counters are one add away
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64)
+_STEPS *= np.uint64(_GOLDEN)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray, t: np.ndarray) -> None:
+    """SplitMix64 finalizer applied to z in place; t is scratch of z's shape."""
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, shift, out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, 31, out=t)
+    np.bitwise_xor(z, t, out=z)
+
+
+def _to_unit(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Top 53 bits of the words w as doubles in [0, 1), into out (which may
+    be w's own memory viewed as float64); w is overwritten."""
+    np.right_shift(w, 11, out=w)
+    return np.multiply(w, _TO_UNIT, out=out)
 
 
 class CounterStream:
@@ -46,31 +73,52 @@ class CounterStream:
         self.seed = int(seed)
         self.stream = int(stream)
         self.counter = int(counter)
-        with np.errstate(over="ignore"):
-            s = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF) ^ _SEED_XOR
-            base = _mix(_mix(np.array([s], dtype=np.uint64))
-                        + np.uint64(self.stream & 0xFFFFFFFFFFFFFFFF) * _GOLDEN)
-        self._base = base[0]
+        z, t = np.array([(self.seed ^ _SEED_XOR) & _MASK], dtype=np.uint64), np.empty(1, np.uint64)
+        _mix(z, t)
+        z[0] = (int(z[0]) + self.stream * _GOLDEN) & _MASK
+        _mix(z, t)
+        self._base = int(z[0])
 
     def words(self, k: int) -> np.ndarray:
         """Next k raw 64-bit words."""
-        idx = np.arange(self.counter + 1, self.counter + k + 1, dtype=np.uint64)
+        out = np.empty(k, dtype=np.uint64)
+        t = np.empty(min(k, _BLOCK), dtype=np.uint64)
+        for lo in range(0, k, _BLOCK):
+            z = out[lo:lo + _BLOCK]
+            offset = np.uint64((self._base + (self.counter + lo) * _GOLDEN) & _MASK)
+            np.add(_STEPS[:len(z)], offset, out=z)
+            _mix(z, t[:len(z)])
         self.counter += k
-        with np.errstate(over="ignore"):
-            return _mix(self._base + idx * _GOLDEN)
+        return out
 
     def uniforms(self, k: int) -> np.ndarray:
-        """Next k doubles, uniform on [0, 1)."""
-        return (self.words(k) >> np.uint64(11)).astype(np.float64) / _TWO53
+        """Next k doubles, uniform on [0, 1), written over their own words."""
+        w = self.words(k)
+        u = w.view(np.float64)
+        for lo in range(0, k, _BLOCK):
+            _to_unit(w[lo:lo + _BLOCK], u[lo:lo + _BLOCK])
+        return u
 
     def normals(self, k: int) -> np.ndarray:
-        """Next k standard normal deviates (Box-Muller)."""
+        """Next k standard normal deviates (Box-Muller), written over the
+        words they come from: r cos and r sin take the places of u1 and u2."""
         m = (k + 1) // 2
-        u1 = 1.0 - self.uniforms(m)  # (0, 1], keeps the log finite
-        u2 = self.uniforms(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = 2.0 * np.pi * u2
-        return np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:k]
+        w = self.words(2 * m)
+        out = w.view(np.float64)
+        r, ang = np.empty(min(m, _BLOCK)), np.empty(min(m, _BLOCK))
+        for lo in range(0, m, _BLOCK):
+            b = min(_BLOCK, m - lo)
+            u1 = _to_unit(w[lo:lo + b], r[:b])
+            u2 = _to_unit(w[m + lo:m + lo + b], ang[:b])
+            np.subtract(1.0, u1, out=u1)  # (0, 1], keeps the log finite
+            np.log(u1, out=u1)
+            np.multiply(u1, -2.0, out=u1)
+            np.sqrt(u1, out=u1)
+            np.multiply(u2, 2.0 * np.pi, out=u2)
+            for part, trig in ((out[lo:lo + b], np.cos), (out[m + lo:m + lo + b], np.sin)):
+                trig(u2, out=part)
+                np.multiply(part, u1, out=part)
+        return out[:k]
 
     def spawn(self, stream: int) -> "CounterStream":
         """Fresh substream of the same seed, starting at counter 0."""

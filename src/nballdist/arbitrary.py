@@ -39,7 +39,7 @@ from .core import (
     log_gamma,
     sphere_area,
 )
-from .montecarlo import _uniform_ball_points
+from .montecarlo import _row_sumsq, _uniform_ball_points
 from .uniform import overlap_kernels
 
 __all__ = [
@@ -250,7 +250,10 @@ def _sample_cap(geometry: BallGeometry, s: float, stream: CounterStream, count: 
         xn[got:got + take] = keep[:take]
         got += take
     perp = _uniform_ball_points(BallGeometry(n - 1, 1.0), stream, count)
-    return np.column_stack([perp * np.sqrt(R * R - xn * xn)[:, None], xn])
+    out = np.empty((count, n))
+    np.multiply(perp, np.sqrt(R * R - xn * xn)[:, None], out=out[:, :-1])
+    out[:, -1] = xn
+    return out
 
 
 def _master_unnormalized_mc(geometry: BallGeometry, density: DensityModel,
@@ -269,16 +272,18 @@ def _master_unnormalized_mc(geometry: BallGeometry, density: DensityModel,
     scale = s ** (n - 1) * v_cap * sphere_area(n)
 
     def draw(k):
-        z = stream.normals(k * n).reshape(k, n)
-        norm = np.sqrt(np.sum(z * z, axis=1))
+        u = stream.normals(k * n).reshape(k, n)
+        norm = np.sqrt(_row_sumsq(u))
         norm[norm == 0.0] = 1.0
-        u = z / norm[:, None]
+        u /= norm[:, None]
         v = np.eye(n)[-1] - u
-        vv = np.sum(v * v, axis=1)
+        vv = _row_sumsq(v)
         vv[vv == 0.0] = 1.0  # u = e_n: v = 0 and H is the identity
-        X = _sample_cap(geometry, s, stream, k)
-        HX = X - v * (2.0 * np.sum(X * v, axis=1) / vv)[:, None]
-        return density_value(density, HX, geometry) * density_value(density, HX - s * u, geometry)
+        HX = _sample_cap(geometry, s, stream, k)
+        HX -= v * (2.0 * np.sum(HX * v, axis=1) / vv)[:, None]
+        u *= s
+        np.subtract(HX, u, out=u)
+        return density_value(density, HX, geometry) * density_value(density, u, geometry)
     mean, err = _chunked_mean(samples, draw)
     return scale * mean, scale * err
 

@@ -37,7 +37,6 @@ from . import arbitrary, montecarlo, symmetric, uniform
 from .core import (
     BallGeometry,
     CartesianMonomial,
-    DomainError,
     Gaussian,
     GeoProbError,
     EfficiencyError,
@@ -225,24 +224,19 @@ def empirical_pair_pdf_parallel(geometry, density, pairs: int, bins: int, seed: 
                                 max_workers: int = 1):
     """Histogram built from a fixed fan-out of substreams, merged in stream
     order: results are identical for every thread count."""
-    if pairs < 1000:
-        raise DomainError("need at least 1000 pairs")
-    if bins < 8:
-        raise DomainError("need at least 8 bins")
+    montecarlo.check_histogram_request(pairs, bins)
     if pairs < 16 * _STREAMS:
         blocks = [(0, pairs)]
     else:
         per, extra = divmod(pairs, _STREAMS)
         blocks = [(i, per + (1 if i < extra else 0)) for i in range(_STREAMS)]
+    edges = np.linspace(0.0, geometry.diameter, bins + 1)
 
     def run_block(block):
         stream_id, count = block
         cfg = SamplerConfig(seed=seed, count=2 * count, stream_id=stream_id)
-        pts = montecarlo.sample_density(geometry, density, cfg)
-        d = np.sqrt(np.sum((pts[count:] - pts[:count]) ** 2, axis=1))
-        edges = np.linspace(0.0, geometry.diameter, bins + 1)
-        counts, _ = np.histogram(d, bins=edges)
-        return montecarlo.DistanceHistogram(edges=edges, counts=counts.astype(np.int64))
+        return montecarlo.pair_histogram(montecarlo.sample_density(geometry, density, cfg),
+                                         count, edges)
 
     if max_workers <= 1 or len(blocks) == 1:
         hists = [run_block(b) for b in blocks]

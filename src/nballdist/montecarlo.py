@@ -6,7 +6,9 @@ directly; radial polynomials, the parabolic profile and ``GeneralCartesian``
 callbacks are sampled by rejection against the uniform ball.
 
 Sampling is deterministic: a ``SamplerConfig`` fixes (seed, stream_id, count)
-and the same configuration always reproduces the same batch bit for bit.
+and the same configuration always reproduces the same batch bit for bit. The
+direct samplers and the pair histogram work through row blocks of about
+``_rng._BLOCK`` numbers in place; the block size changes no output.
 Substreams with distinct stream ids are independent, and histogram merging is
 associative and commutative, so parallel runs give identical results
 regardless of how the work is split.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from ._rng import CounterStream
+from ._rng import _BLOCK, CounterStream
 from .core import (
     BallGeometry,
     CartesianMonomial,
@@ -46,6 +48,7 @@ __all__ = [
     "sample_uniform_ball",
     "sample_density",
     "empirical_pair_pdf",
+    "pair_histogram",
     "merge_histograms",
     "compare",
     "chi_square_survival",
@@ -127,13 +130,42 @@ def _stream_for(config: SamplerConfig) -> CounterStream:
     return CounterStream(config.seed, config.stream_id)
 
 
+def _row_sumsq(z: np.ndarray) -> np.ndarray:
+    """Row sums of z * z, bit for bit ``np.sum(z * z, axis=1)``: below 8
+    columns numpy adds a row's squares in sequence, so column adds in place
+    give the same sums without a (rows, n) temporary."""
+    n = z.shape[1]
+    if n >= 8:  # numpy sums longer rows pairwise
+        return np.sum(z * z, axis=1)
+    acc = np.multiply(z[:, 0], z[:, 0])
+    sq = np.empty_like(acc)
+    for j in range(1, n):
+        np.multiply(z[:, j], z[:, j], out=sq)
+        acc += sq
+    return acc
+
+
+def _scale_rows(z: np.ndarray, radii: np.ndarray) -> None:
+    """z[i] *= radii[i] / |z[i]| in place (a zero row keeps its zeros);
+    ``radii`` is overwritten."""
+    norm = np.sqrt(_row_sumsq(z))
+    norm[norm == 0.0] = 1.0
+    np.divide(radii, norm, out=radii)
+    z *= radii[:, None]
+
+
+def _rows_per_block(n: int) -> int:
+    return max(1, _BLOCK // n)
+
+
 def _uniform_ball_points(geometry: BallGeometry, stream: CounterStream, count: int) -> np.ndarray:
     n, R = geometry.dimension, geometry.radius
     z = stream.normals(count * n).reshape(count, n)
-    norm = np.sqrt(np.sum(z * z, axis=1))
-    norm[norm == 0.0] = 1.0
-    radii = R * stream.uniforms(count) ** (1.0 / n)
-    return z * (radii / norm)[:, None]
+    rows = _rows_per_block(n)
+    for lo in range(0, count, rows):
+        zb = z[lo:lo + rows]
+        _scale_rows(zb, R * stream.uniforms(len(zb)) ** (1.0 / n))
+    return z
 
 
 def sample_uniform_ball(geometry: BallGeometry, config: SamplerConfig) -> np.ndarray:
@@ -152,16 +184,16 @@ def _multishell_points(geometry: BallGeometry, model: MultiShell,
     rn = np.concatenate([[0.0], radii ** n])
     mass = dens * np.diff(rn)
     cum = np.concatenate([[0.0], np.cumsum(mass)])
-    total = cum[-1]
-    v = stream.uniforms(count) * total
-    idx = np.clip(np.searchsorted(cum, v, side="right") - 1, 0, len(dens) - 1)
     # zero-density shells carry no mass, but guard the division anyway
-    safe = np.where(dens[idx] > 0.0, dens[idx], 1.0)
-    r = (rn[idx] + (v - cum[idx]) / safe) ** (1.0 / n)
+    safe = np.where(dens > 0.0, dens, 1.0)
+    u = stream.uniforms(count)
     z = stream.normals(count * n).reshape(count, n)
-    norm = np.sqrt(np.sum(z * z, axis=1))
-    norm[norm == 0.0] = 1.0
-    return z * (r / norm)[:, None]
+    rows = _rows_per_block(n)
+    for lo in range(0, count, rows):
+        v = u[lo:lo + rows] * cum[-1]
+        idx = np.clip(np.searchsorted(cum, v, side="right") - 1, 0, len(dens) - 1)
+        _scale_rows(z[lo:lo + rows], (rn[idx] + (v - cum[idx]) / safe[idx]) ** (1.0 / n))
+    return z
 
 
 def _monomial_points(geometry: BallGeometry, model: CartesianMonomial,
@@ -233,7 +265,9 @@ def sample_density(geometry: BallGeometry, density: DensityModel,
     if isinstance(density, Uniform):
         return _uniform_ball_points(geometry, stream, config.count)
     if isinstance(density, Gaussian):
-        return density.sigma * stream.normals(config.count * n).reshape(config.count, n)
+        z = stream.normals(config.count * n).reshape(config.count, n)
+        z *= density.sigma
+        return z
     if isinstance(density, MultiShell):
         return _multishell_points(geometry, density, stream, config.count)
     if isinstance(density, CartesianMonomial):
@@ -247,6 +281,31 @@ def sample_density(geometry: BallGeometry, density: DensityModel,
 # Histograms and comparison
 # ---------------------------------------------------------------------------
 
+def check_histogram_request(pairs: int, bins: int) -> None:
+    if pairs < 1000:
+        raise DomainError("need at least 1000 pairs for a meaningful histogram")
+    if bins < 8:
+        raise DomainError("need at least 8 bins")
+
+
+def pair_histogram(points: np.ndarray, pairs: int, edges: np.ndarray) -> DistanceHistogram:
+    """Histogram on ``edges`` of |points[pairs + i] - points[i]|, i < pairs.
+
+    Distances are formed and binned a block of rows at a time; the counts are
+    those of one ``np.histogram`` over all the distances, bit for bit.
+    """
+    n = points.shape[1]
+    rows = _rows_per_block(n)
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    for lo in range(0, pairs, rows):
+        hi = min(lo + rows, pairs)
+        d = points[pairs + lo:pairs + hi] - points[lo:hi]
+        dist = _row_sumsq(d)
+        np.sqrt(dist, out=dist)
+        counts += np.histogram(dist, bins=edges)[0]
+    return DistanceHistogram(edges=edges, counts=counts)
+
+
 def empirical_pair_pdf(geometry: BallGeometry, density: DensityModel,
                        pairs: int, bins: int, config: SamplerConfig) -> DistanceHistogram:
     """Histogram of |x2 - x1| for ``pairs`` independent point pairs.
@@ -255,16 +314,10 @@ def empirical_pair_pdf(geometry: BallGeometry, density: DensityModel,
     distances on uniform edges over [0, 2R]. With unbounded densities
     (Gaussian) the negligible mass beyond 2R is dropped.
     """
-    if pairs < 1000:
-        raise DomainError("need at least 1000 pairs for a meaningful histogram")
-    if bins < 8:
-        raise DomainError("need at least 8 bins")
+    check_histogram_request(pairs, bins)
     cfg = SamplerConfig(seed=config.seed, count=2 * pairs, stream_id=config.stream_id)
     pts = sample_density(geometry, density, cfg)
-    d = np.sqrt(np.sum((pts[pairs:] - pts[:pairs]) ** 2, axis=1))
-    edges = np.linspace(0.0, geometry.diameter, bins + 1)
-    counts, _ = np.histogram(d, bins=edges)
-    return DistanceHistogram(edges=edges, counts=counts.astype(np.int64))
+    return pair_histogram(pts, pairs, np.linspace(0.0, geometry.diameter, bins + 1))
 
 
 def merge_histograms(*hists: DistanceHistogram) -> DistanceHistogram:

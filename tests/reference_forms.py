@@ -5,7 +5,10 @@ expressions (uniform-ball PDFs for n = 2 and 4, the equal-thickness
 2/3/4-shell region tables, and the hyperspherical cap volume behind the
 shell PDF in any dimension), evaluated in exact rational arithmetic where
 the comparison demands it. The shell PDF also has a second, independent
-oracle: nested adaptive quadrature of the overlap integral.
+oracle: nested adaptive quadrature of the overlap integral. The random
+number stream has a one-shot oracle: ``OneShotStream`` draws words, uniforms
+and normals in single whole-array passes, the form the blocked
+``CounterStream`` must reproduce bit for bit.
 
 Two coefficients of the 4-shell table are known to be misprinted in
 circulating tabulations; both misprints break the continuity of the PDF at
@@ -24,6 +27,7 @@ from fractions import Fraction as F
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.special import betaincc
 
@@ -270,3 +274,61 @@ def shells_quadpack_pdf(n: int, radii, densities, s: float, epsabs: float = 1e-1
     if n > 1:
         val *= s ** (n - 1) * 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
     return val / (mass * mass / (2.0 * area))
+
+
+# ---------------------------------------------------------------------------
+# One-shot counter stream: every output in a single whole-array pass
+# ---------------------------------------------------------------------------
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_SEED_XOR = np.uint64(0xA3EC647659359ACD)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(z):
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
+
+
+class OneShotStream:
+    """The (seed, stream) sequence of ``nballdist._rng``, whole arrays at once."""
+
+    def __init__(self, seed, stream=0, counter=0):
+        self.counter = counter
+        with np.errstate(over="ignore"):
+            s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _SEED_XOR
+            base = _mix(_mix(np.array([s], dtype=np.uint64))
+                        + np.uint64(stream & 0xFFFFFFFFFFFFFFFF) * _GOLDEN)
+        self._base = base[0]
+
+    def words(self, k):
+        idx = np.arange(self.counter + 1, self.counter + k + 1, dtype=np.uint64)
+        self.counter += k
+        with np.errstate(over="ignore"):
+            return _mix(self._base + idx * _GOLDEN)
+
+    def uniforms(self, k):
+        return (self.words(k) >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+    def normals(self, k):
+        m = (k + 1) // 2
+        u1 = 1.0 - self.uniforms(m)
+        u2 = self.uniforms(m)
+        r = np.sqrt(-2.0 * np.log(u1))
+        ang = 2.0 * np.pi * u2
+        return np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:k]
+
+
+def splitmix_word(seed, stream, i):
+    """word(i) of the _rng docstring, in plain Python integers."""
+    mask = (1 << 64) - 1
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    base = mix((mix(seed ^ 0xA3EC647659359ACD) + stream * 0x9E3779B97F4A7C15) & mask)
+    return mix((base + (i + 1) * 0x9E3779B97F4A7C15) & mask)

@@ -321,3 +321,58 @@ def test_gaussian_compare_against_closed_form():
     gb = GaussianBall(3, 1.0)
     report = compare(hist, lambda s: pdf_gaussian(gb, s))
     assert report.p_value > 0.001
+
+
+# ---------------------------------------------------------------------------
+# Blocked sampling and histograms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_sumsq_matches_np_sum(n):
+    from nballdist.montecarlo import _row_sumsq
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((5003, n)) * rng.uniform(0.0, 1e3, (5003, 1))
+    assert np.array_equal(_row_sumsq(z), np.sum(z * z, axis=1))
+
+
+def test_pair_histogram_matches_one_shot_histogram():
+    from nballdist.montecarlo import _rows_per_block, pair_histogram
+    edges = np.linspace(0.0, 2.0, 65)
+    pairs = 2 * _rows_per_block(1) + 501  # three blocks
+    rng = np.random.default_rng(3)
+    # second points at distance exactly on every edge (both ends included),
+    # the rest anywhere in [-1, 1]
+    first = rng.uniform(-1.0, 1.0, pairs)
+    first[:65] = -1.0
+    second = rng.uniform(-1.0, 1.0, pairs)
+    second[:65] = edges - 1.0
+    points = np.concatenate([first, second])[:, None]
+    dist = np.abs(second - first)
+    assert np.count_nonzero(np.isin(dist, edges)) >= 65
+    hist = pair_histogram(points, pairs, edges)
+    want, _ = np.histogram(dist, bins=edges)
+    assert hist.counts.dtype == np.int64
+    assert np.array_equal(hist.counts, want) and hist.total == pairs
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_pair_histogram_matches_one_shot_distances(n):
+    from nballdist.montecarlo import pair_histogram
+    pts = sample_uniform_ball(BallGeometry(n, 1.0), SamplerConfig(seed=9, count=2 * 20_011))
+    edges = np.linspace(0.0, 2.0, 41)
+    d = np.sqrt(np.sum((pts[20_011:] - pts[:20_011]) ** 2, axis=1))
+    assert np.array_equal(pair_histogram(pts, 20_011, edges).counts, np.histogram(d, bins=edges)[0])
+
+
+def test_uniform_ball_scratch_memory_is_bounded():
+    import tracemalloc
+    from nballdist.montecarlo import _uniform_ball_points
+    stream = CounterStream(2)
+    tracemalloc.start()
+    try:
+        _uniform_ball_points(BallGeometry(3), stream, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    # the 3e6 coordinates take 23 MB; whole-array passes peaked at 112 MB
+    assert peak < 56
