@@ -53,7 +53,9 @@ __all__ = [
     "density_radial_value",
     "density_bound",
     "density_mass",
+    "log_density_mass",
     "sphere_area",
+    "log_sphere_area",
 ]
 
 
@@ -300,9 +302,42 @@ def density_bound(model: DensityModel, geometry: BallGeometry) -> float:
     raise InvalidDensityError(f"no bound rule for {type(model).__name__}")
 
 
+def log_sphere_area(n: int) -> float:
+    """ln |S^(n-1)|, finite in every dimension."""
+    return math.log(2.0) + n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0)
+
+
 def sphere_area(n: int) -> float:
     """Surface area |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2) of the unit sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / math.exp(math.lgamma(n / 2.0))
+    return math.exp(log_sphere_area(n))
+
+
+def _radial_moment(model: DensityModel, geometry: BallGeometry):
+    """Int_0^R rho(r) r^(n-1) dr / R^n for a radial model on the ball, None
+    for any other model; the mass is |S^(n-1)| R^n times it."""
+    n, R = geometry.dimension, geometry.radius
+    if isinstance(model, Uniform):
+        return 1.0 / n
+    if isinstance(model, RadialPolynomial):
+        return sum(c * R ** k / (n + k) for k, c in enumerate(model.coefficients))
+    if isinstance(model, ParabolicRadial):
+        return 1.0 / n - model.alpha / (n + 2.0)
+    if isinstance(model, MultiShell):
+        edges = [0.0] + [min(float(r) / R, 1.0) ** n for r in model.radii]
+        return sum(float(d) * (b - a) for d, a, b in zip(model.densities, edges, edges[1:])) / n
+    return None
+
+
+def log_density_mass(model: DensityModel, geometry: BallGeometry) -> float:
+    """ln |Int_B rho| of a radial model, formed in log space so that it stays
+    finite where the mass itself leaves the double range; -inf for zero mass."""
+    moment = _radial_moment(model, geometry)
+    if moment is None:
+        raise UnsupportedError(f"no log-space mass for {type(model).__name__}")
+    if moment == 0.0:
+        return -math.inf
+    n, R = geometry.dimension, geometry.radius
+    return log_sphere_area(n) + n * math.log(R) + math.log(abs(moment))
 
 
 def density_mass(model: DensityModel, geometry: BallGeometry) -> float:
@@ -311,17 +346,9 @@ def density_mass(model: DensityModel, geometry: BallGeometry) -> float:
     Int_{S^(n-1)} prod |x_i|^(e_i) = 2 prod Gamma(b_i) / Gamma(sum b_i),
     b_i = (e_i + 1)/2, times R^(n+|e|)/(n+|e|)."""
     n, R = geometry.dimension, geometry.radius
-    area = sphere_area(n)
-    if isinstance(model, Uniform):
-        return area * R ** n / n
-    if isinstance(model, RadialPolynomial):
-        return area * sum(c * R ** (n + k) / (n + k) for k, c in enumerate(model.coefficients))
-    if isinstance(model, ParabolicRadial):
-        return area * R ** n * (1.0 / n - model.alpha / (n + 2.0))
-    if isinstance(model, MultiShell):
-        edges = [0.0] + [min(float(r), R) ** n for r in model.radii]
-        return area / n * sum(float(d) * (b - a)
-                              for d, a, b in zip(model.densities, edges, edges[1:]))
+    moment = _radial_moment(model, geometry)
+    if moment is not None:
+        return sphere_area(n) * R ** n * moment
     if isinstance(model, CartesianMonomial):
         if len(model.exponents) != n:
             raise InvalidDensityError("exponent count does not match point dimension")

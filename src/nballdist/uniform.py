@@ -89,11 +89,14 @@ def pdf_uniform(geometry: BallGeometry, s):
     ndarray of s (a float in gives a float out, an array the same shape).
 
     With t = s/2R, both x = (1-t)(1+t) and its complement y = t^2 are exact,
-    and I_x((n+1)/2, 1/2) is betaincc(1/2, (n+1)/2, y) where y <= x and
+    and I_x((n+1)/2, 1/2) is 1 - I_y(1/2, (n+1)/2) where y <= x and
     betainc((n+1)/2, 1/2, x) where x < y, so scipy never forms 1 - x itself
-    (the (x, y) pair of TOMS 708). Where I_x underflows, and for n > 1024,
-    whose s^(n-1) may overflow, the product is taken in log space. Within
-    x < 1e-12 of s = 2R the exact limit 0 is returned.
+    (the (x, y) pair of TOMS 708). The complement is taken by subtraction
+    where I_y <= 1/2 (y up to the median of Beta(1/2, (n+1)/2)), which loses
+    at most one bit, and by the slower betaincc elsewhere. Where I_x
+    underflows, and for n > 1024, whose s^(n-1) may overflow, the product is
+    taken in log space. Within x < 1e-12 of s = 2R the exact limit 0 is
+    returned.
     """
     s = _as_support(geometry, s)
     n, R = geometry.dimension, geometry.radius
@@ -101,8 +104,12 @@ def pdf_uniform(geometry: BallGeometry, s):
     t = s / geometry.diameter
     x, y = (1.0 - t) * (1.0 + t), t * t
     near = y <= x
-    ix = special.betaincc(0.5, a, y, where=near, out=np.empty_like(s))
-    special.betainc(a, 0.5, x, where=~near, out=ix)
+    # I_y(1/2, a) <= 1/2 up to the median of Beta(1/2, a)
+    by_subtraction = near & (y <= special.betaincinv(0.5, a, 0.5))
+    ix = special.betainc(a, 0.5, x, where=~near, out=np.empty_like(s))
+    special.betainc(0.5, a, y, where=by_subtraction, out=ix)
+    np.subtract(1.0, ix, where=by_subtraction, out=ix)
+    special.betaincc(0.5, a, y, where=near & ~by_subtraction, out=ix)
     inner = x >= 1e-12
     logs = inner & (s > 0.0) & ((ix < _TINY) | (n > 1024))
     direct = inner & ~logs

@@ -363,6 +363,16 @@ def test_compare_repeated_runs_byte_identical(tmp_path):
     assert (tmp_path / "a.report.json").read_bytes() == (tmp_path / "b.report.json").read_bytes()
 
 
+def test_pdf_numeric_radial_large_dimension(tmp_path):
+    # n = 400 raised a raw OverflowError from |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2)
+    assert run(tmp_path, "pdf", "-n", "400", "--density", "parabolic:0.5", "--grid", "3",
+               "-o", "big.csv") == 0
+    with open(tmp_path / "big.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    values = [float(r["analytic_density"]) for r in rows]
+    assert values[0] == 0.0 and values[2] == 0.0 and 0.0 < values[1] < 1e-20
+
+
 def test_out_dir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "redirected"
     target.mkdir()

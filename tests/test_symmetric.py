@@ -121,6 +121,27 @@ def test_numeric_kernel_integrates_to_exact_norm(n):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_numeric_radial_large_dimension_matches_uniform():
+    # the normalization (Int rho)^2 / (2 |S^(n-1)|) underflowed at n = 300
+    g = BallGeometry(300, 1.0)
+    s = np.linspace(0.05, 1.95, 39)
+    got = np.array([pdf_radial_numeric(g, ParabolicRadial(0.0), float(v)) for v in s])
+    want = pdf_uniform(g, s)
+    assert np.max(np.abs(got - want)) < 1e-10
+    bulk = want > 1e-3 * want.max()
+    assert np.max(np.abs(got - want)[bulk] / want[bulk]) < 1e-10
+
+
+def test_numeric_radial_large_dimension_parabolic_peak():
+    # |S^(n-1)| itself overflowed through Gamma(n/2) at n = 400; the curve's
+    # bulk lies near s = sqrt(2) R, where a coarse Simpson sum sees unit mass
+    g = BallGeometry(400, 1.0)
+    s = np.linspace(1.2, 1.65, 91)
+    p = np.array([pdf_radial_numeric(g, ParabolicRadial(0.5), float(v)) for v in s])
+    assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+    assert np.sum(p[1:] + p[:-1]) / 2.0 * (s[1] - s[0]) == pytest.approx(1.0, abs=1e-4)
+
+
 def test_numeric_rejects_bad_input():
     with pytest.raises(InvalidDensityError):
         pdf_radial_numeric(G3, __import__("nballdist").CartesianMonomial((2, 2, 2)), 0.5)
@@ -220,6 +241,23 @@ def test_shells_random_sets_match_cap_volume_oracle(n, radii, dens, s):
     got = _shells_pdf(BallGeometry(n, 1.0), MultiShell(radii, dens), np.array(s))
     for v, x in zip(got, s):
         assert v == pytest.approx(ref.shells_cap_pdf(n, radii, dens, x), rel=1e-12, abs=1e-12), x
+
+
+def test_shells_caps_underflow_near_the_diameter():
+    # each cap's I_y ~ y^(n/2) underflows before (s/R)^(n-1) scales it back
+    one = MultiShell((1.0,), (1.0,))
+    got = pdf_multishell(BallGeometry(1000, 1.0), one, 1.9)
+    assert got == pytest.approx(7.861432611149872e-227, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(pdf_uniform(BallGeometry(1000, 1.0), 1.9), rel=1e-12, abs=0.0)
+    with mp.workdps(50):
+        for n, ts, tol in ((400, (1.9, 1.99), 1e-12), (700, (1.95,), 1e-12), (1000, (1.5, 1.9), 2e-12)):
+            s = np.array(ts)
+            got = pdf_multishell(BallGeometry(n, 1.0), MultiShell((0.5, 1.0), (1.0, 2.0)), s)
+            for v, x in zip(got, ts):
+                want = float(_mp_shells_pdf(n, (0.5, 1.0), (1.0, 2.0), x))
+                assert want > 1e-300 and v == pytest.approx(want, rel=tol, abs=0.0), (n, x)
+                # the log-space lanes agree between array and float calls
+                assert pdf_multishell(BallGeometry(n, 1.0), MultiShell((0.5, 1.0), (1.0, 2.0)), x) == v
 
 
 def test_shells_overflow_is_a_precision_error():

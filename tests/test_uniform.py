@@ -106,6 +106,18 @@ def test_pdf_uniform_against_mpmath(n):
             assert value == pytest.approx(float(want), rel=1e-12, abs=0.0), (n, s)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 50, 200])
+def test_pdf_uniform_across_the_complement_switch(n):
+    # I_x((n+1)/2, 1/2) comes from 1 - I_y(1/2, (n+1)/2) up to the median of
+    # Beta(1/2, (n+1)/2) in y = s^2/4R^2 and from betaincc beyond it
+    from scipy import special
+    y_med = special.betaincinv(0.5, (n + 1) / 2.0, 0.5)
+    s = 2.0 * np.sqrt(y_med * np.array([0.5, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1, 2.0]))
+    got = pdf_uniform(BallGeometry(n, 1.0), s)
+    for v, x in zip(got, s):
+        assert v == pytest.approx(float(_pdf_uniform_mpmath(n, float(x))), rel=1e-12, abs=0.0), (n, x)
+
+
 @pytest.mark.parametrize("n,s", [(1000, 1.9), (1000, 1.5), (1500, 1.2), (1500, 1.9)])
 def test_pdf_uniform_large_n_does_not_underflow(n, s):
     # I_x underflows (about 1e-506 at n = 1000, s = 1.9) before the product
