@@ -27,6 +27,12 @@ Every method works through blocks of ``_BLOCK`` elements with in-place
 operations, so its scratch memory stays cache-sized whatever k is. Blocking
 never changes an output bit: each element is computed by the same operations
 in the same order as in one whole-array pass.
+
+``uniforms`` and ``normals`` also serve a window (lo, hi) of the next k
+values: elements [lo, hi) and [h + lo, h + hi), h = ceil(k/2), stacked. For
+normals these are r cos and r sin of Box-Muller pairs [lo, hi), so a window
+draws only the words of its own pairs, and its values are bit for bit those
+of the whole draw.
 """
 from __future__ import annotations
 
@@ -35,8 +41,8 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SEED_XOR = 0xA3EC647659359ACD
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_C1, _C2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_M1, _M2 = np.uint64(_C1), np.uint64(_C2)
 _TO_UNIT = 2.0 ** -53  # (w >> 11) * 2^-53 is exactly (w >> 11) / 2^53
 
 # Elements per block. Outputs do not depend on it; it only sets the size of
@@ -57,6 +63,13 @@ def _mix(z: np.ndarray, t: np.ndarray) -> None:
     np.bitwise_xor(z, t, out=z)
 
 
+def _mix_int(z: int) -> int:
+    """SplitMix64 finalizer of one word, in Python integers."""
+    z = ((z ^ (z >> 30)) * _C1) & _MASK
+    z = ((z ^ (z >> 27)) * _C2) & _MASK
+    return z ^ (z >> 31)
+
+
 def _to_unit(w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Top 53 bits of the words w as doubles in [0, 1), into out (which may
     be w's own memory viewed as float64); w is overwritten."""
@@ -73,11 +86,8 @@ class CounterStream:
         self.seed = int(seed)
         self.stream = int(stream)
         self.counter = int(counter)
-        z, t = np.array([(self.seed ^ _SEED_XOR) & _MASK], dtype=np.uint64), np.empty(1, np.uint64)
-        _mix(z, t)
-        z[0] = (int(z[0]) + self.stream * _GOLDEN) & _MASK
-        _mix(z, t)
-        self._base = int(z[0])
+        self._base = _mix_int((_mix_int((self.seed ^ _SEED_XOR) & _MASK)
+                               + self.stream * _GOLDEN) & _MASK)
 
     def words(self, k: int) -> np.ndarray:
         """Next k raw 64-bit words."""
@@ -91,34 +101,71 @@ class CounterStream:
         self.counter += k
         return out
 
-    def uniforms(self, k: int) -> np.ndarray:
-        """Next k doubles, uniform on [0, 1), written over their own words."""
-        w = self.words(k)
-        u = w.view(np.float64)
-        for lo in range(0, k, _BLOCK):
-            _to_unit(w[lo:lo + _BLOCK], u[lo:lo + _BLOCK])
+    def _window_words(self, h: int, end: int, window: tuple) -> tuple:
+        """Words [lo, hi) and [h + lo, h + hi) of the next ``end`` words,
+        drawn as two runs; the counter then moves past all ``end``."""
+        lo, hi = window
+        if not 0 <= lo < hi <= h:
+            raise ValueError(f"window {window!r} lies outside [0, {h})")
+        c = self.counter
+        self.counter = c + lo
+        first = self.words(hi - lo)
+        self.counter = c + h + lo
+        second = self.words(hi - lo)
+        self.counter = c + end
+        return first, second
+
+    def uniforms(self, k: int, window: tuple | None = None) -> np.ndarray:
+        """Next k doubles, uniform on [0, 1), written over their own words.
+
+        With ``window = (lo, hi)``, only elements [lo, hi) and [h + lo, h + hi),
+        h = ceil(k/2), stacked: the two halves' rows of a pair window. Their
+        words are drawn alone, and the counter still moves past all k."""
+        if window is None:
+            w = self.words(k)
+            u = w.view(np.float64)
+            for lo in range(0, k, _BLOCK):
+                _to_unit(w[lo:lo + _BLOCK], u[lo:lo + _BLOCK])
+            return u
+        first, second = self._window_words((k + 1) // 2, k, window)
+        u = np.empty(2 * len(first))
+        _to_unit(first, u[:len(first)])
+        _to_unit(second, u[len(first):])
         return u
 
-    def normals(self, k: int) -> np.ndarray:
+    def normals(self, k: int, window: tuple | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
         """Next k standard normal deviates (Box-Muller), written over the
-        words they come from: r cos and r sin take the places of u1 and u2."""
+        words they come from: r cos and r sin take the places of u1 and u2.
+
+        With ``window = (lo, hi)``, only Box-Muller pairs [lo, hi) of the m,
+        that is elements [lo, hi) and [m + lo, m + hi): r cos stacked over
+        r sin of the same pairs, into ``out`` if given. Only the words of
+        those pairs are drawn, and the counter still moves past all 2m."""
         m = (k + 1) // 2
-        w = self.words(2 * m)
-        out = w.view(np.float64)
-        r, ang = np.empty(min(m, _BLOCK)), np.empty(min(m, _BLOCK))
-        for lo in range(0, m, _BLOCK):
-            b = min(_BLOCK, m - lo)
-            u1 = _to_unit(w[lo:lo + b], r[:b])
-            u2 = _to_unit(w[m + lo:m + lo + b], ang[:b])
+        if window is None:
+            w = self.words(2 * m)
+            first, second = w[:m], w[m:]
+            out = w.view(np.float64)
+        else:
+            first, second = self._window_words(m, 2 * m, window)
+            if out is None:
+                out = np.empty(2 * len(first))
+        b = len(first)
+        r, ang = np.empty(min(b, _BLOCK)), np.empty(min(b, _BLOCK))
+        for lo in range(0, b, _BLOCK):
+            hi = min(lo + _BLOCK, b)
+            u1 = _to_unit(first[lo:hi], r[:hi - lo])
+            u2 = _to_unit(second[lo:hi], ang[:hi - lo])
             np.subtract(1.0, u1, out=u1)  # (0, 1], keeps the log finite
             np.log(u1, out=u1)
             np.multiply(u1, -2.0, out=u1)
             np.sqrt(u1, out=u1)
             np.multiply(u2, 2.0 * np.pi, out=u2)
-            for part, trig in ((out[lo:lo + b], np.cos), (out[m + lo:m + lo + b], np.sin)):
+            for part, trig in ((out[lo:hi], np.cos), (out[b + lo:b + hi], np.sin)):
                 trig(u2, out=part)
                 np.multiply(part, u1, out=part)
-        return out[:k]
+        return out[:k] if window is None else out[:2 * b]
 
     def spawn(self, stream: int) -> "CounterStream":
         """Fresh substream of the same seed, starting at counter 0."""

@@ -1,14 +1,41 @@
-"""Truncated power-series arithmetic for Taylor-coefficient extraction.
+"""Truncated power-series arithmetic for Taylor-coefficient extraction, and
+the evaluation of printed polynomial PDFs in s near s = 2R.
 
 Coefficient arrays are plain float64 numpy arrays indexed by power. All
-routines operate on series truncated at a fixed order N, which is exact for
-coefficient extraction up to that order.
+series routines operate on series truncated at a fixed order N, which is
+exact for coefficient extraction up to that order.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
+
+
+def reexpand_at_2r(table: dict) -> np.ndarray:
+    """Coefficients d_j, lowest power first, of the polynomial
+    sum_k c_k t^k (``table`` maps k to a Fraction c_k, t = s/R) in
+    u = 2 - s/R, summed exactly before rounding to floats."""
+    out = [Fraction(0)] * (max(table) + 1)
+    for k, c in table.items():
+        for j in range(k + 1):
+            out[j] += c * math.comb(k, j) * 2 ** (k - j) * (-1) ** j
+    return np.array([float(d) for d in out])
+
+
+def poly_eval(table: dict, s, R: float):
+    """sum_k c_k s^k / R^(k+1), ``table`` mapping k to c_k."""
+    return sum(float(c) * s ** k / R ** (k + 1) for k, c in table.items())
+
+
+def eval_split_at_2r(table: dict, at_2r: np.ndarray, s, R: float):
+    """``poly_eval`` on s in [0, 2R]: in powers of s up to 1.4R,
+    and above it in powers of 2R - s (``at_2r = reexpand_at_2r(table)``),
+    where the powers of s cancel but those of 2R - s keep full relative
+    accuracy."""
+    near_2r = np.polynomial.polynomial.polyval((2.0 * R - s) / R, at_2r) / R
+    return np.where(s > 1.4 * R, near_2r, poly_eval(table, s, R))
 
 
 def series_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:

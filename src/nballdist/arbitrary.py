@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import CounterStream
+from ._series import eval_split_at_2r, poly_eval, reexpand_at_2r
 from .core import (
     BallGeometry,
     DensityModel,
@@ -397,23 +398,7 @@ _EX4_SQRT = {4: Fraction(196, 3), 6: Fraction(114, 5), 8: Fraction(28, 15),
 _EX4_ASIN = {3: Fraction(112, 3), 5: Fraction(96), 7: Fraction(16)}
 
 
-def _poly_eval(table: dict, s, R: float):
-    return sum(float(c) * s ** k / R ** (k + 1) for k, c in table.items())
-
-
-def _reexpand_at_2r(table: dict) -> np.ndarray:
-    """Coefficients d_j, lowest power first, of the same polynomial in
-    u = 2 - s/R, sum_k c_k t^k = sum_j d_j u^j with t = s/R, summed exactly
-    before rounding to floats."""
-    out = [Fraction(0)] * (max(table) + 1)
-    for k, c in table.items():
-        for j in range(k + 1):
-            out[j] += c * math.comb(k, j) * 2 ** (k - j) * (-1) ** j
-    return np.array([float(d) for d in out])
-
-
-# the powers of s cancel as s -> 2R; powers of 2R - s keep full relative accuracy there
-_EX3_AT_2R = _reexpand_at_2r(_EX3_POLY)
+_EX3_AT_2R = reexpand_at_2r(_EX3_POLY)
 
 
 def _root_and_asin(geometry: BallGeometry, s) -> tuple:
@@ -431,11 +416,11 @@ def pdf_example_2d(geometry: BallGeometry, s):
     s = _as_support(geometry, s)
     R = geometry.radius
     root, asin = _root_and_asin(geometry, s)
-    f123 = (_poly_eval(_EX2_F1, s, R) + _poly_eval(_EX2_F2, s, R)
-            - _poly_eval(_EX2_F3, s, R)) / R  # tables carry R^(k+2) scaling
-    out = (_poly_eval(_EX2_POLY, s, R)
+    f123 = (poly_eval(_EX2_F1, s, R) + poly_eval(_EX2_F2, s, R)
+            - poly_eval(_EX2_F3, s, R)) / R  # tables carry R^(k+2) scaling
+    out = (poly_eval(_EX2_POLY, s, R)
            - root / math.pi * f123
-           - asin / math.pi * _poly_eval(_EX2_ASIN, s, R))
+           - asin / math.pi * poly_eval(_EX2_ASIN, s, R))
     return out if out.ndim else float(out)
 
 
@@ -446,9 +431,7 @@ def pdf_example_3d(geometry: BallGeometry, s):
     if geometry.dimension != 3:
         raise UnsupportedError("this closed form is for n = 3")
     s = _as_support(geometry, s)
-    R = geometry.radius
-    near_2r = np.polynomial.polynomial.polyval((2.0 * R - s) / R, _EX3_AT_2R) / R
-    out = np.where(s > 1.4 * R, near_2r, _poly_eval(_EX3_POLY, s, R))
+    out = eval_split_at_2r(_EX3_POLY, _EX3_AT_2R, s, geometry.radius)
     return out if out.ndim else float(out)
 
 
@@ -460,7 +443,7 @@ def pdf_example_4d(geometry: BallGeometry, s):
     s = _as_support(geometry, s)
     R = geometry.radius
     root, asin = _root_and_asin(geometry, s)
-    out = (_poly_eval(_EX4_POLY, s, R)
-           - root / math.pi * _poly_eval(_EX4_SQRT, s, R) / R
-           - asin / math.pi * _poly_eval(_EX4_ASIN, s, R))
+    out = (poly_eval(_EX4_POLY, s, R)
+           - root / math.pi * poly_eval(_EX4_SQRT, s, R) / R
+           - asin / math.pi * poly_eval(_EX4_ASIN, s, R))
     return out if out.ndim else float(out)

@@ -52,8 +52,24 @@ from .montecarlo import SamplerConfig, merge_histograms
 _STREAMS = 16  # fixed substream fan-out so thread count never changes results
 
 
+# Rows formatted per string. Larger chunks write no faster but hold more
+# float objects at once: 4096 rows raised the peak resident memory of a
+# 50001-row grid by 0.4-0.9 MB, and 512 rows that of the pdf benchmark by
+# about 0.2 MB; 128 rows raise neither.
+_CSV_CHUNK = 128
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _write_rows(fh, s, values) -> None:
+    """``s,value`` lines of %.17g floats, the same bytes as ``_fmt``, one
+    format call per chunk of rows."""
+    s, values = np.asarray(s, dtype=float), np.asarray(values, dtype=float)
+    for lo in range(0, len(s), _CSV_CHUNK):
+        flat = np.column_stack((s[lo:lo + _CSV_CHUNK], values[lo:lo + _CSV_CHUNK])).ravel()
+        fh.write("%.17g,%.17g\n" * (len(flat) // 2) % tuple(flat.tolist()))
 
 
 def parse_density(spec: str):
@@ -167,7 +183,7 @@ def cmd_pdf(args) -> int:
     values = evaluator(grid)
     with open(out, "w", newline="\n") as fh:
         fh.write("s,analytic_density\n")
-        fh.writelines(f"{_fmt(s)},{_fmt(v)}\n" for s, v in zip(grid, values))
+        _write_rows(fh, grid, values)
     if isinstance(density, MultiShell) and geometry.dimension == 3:
         poly = symmetric.multishell_polynomial(geometry, density)
         shells_path = os.path.splitext(out)[0] + ".shells.json"
@@ -235,8 +251,7 @@ def empirical_pair_pdf_parallel(geometry, density, pairs: int, bins: int, seed: 
     def run_block(block):
         stream_id, count = block
         cfg = SamplerConfig(seed=seed, count=2 * count, stream_id=stream_id)
-        return montecarlo.pair_histogram(montecarlo.sample_density(geometry, density, cfg),
-                                         count, edges)
+        return montecarlo.substream_histogram(geometry, density, cfg, edges)
 
     if max_workers <= 1 or len(blocks) == 1:
         hists = [run_block(b) for b in blocks]

@@ -6,17 +6,24 @@ directly; radial polynomials, the parabolic profile and ``GeneralCartesian``
 callbacks are sampled by rejection against the uniform ball.
 
 Sampling is deterministic: a ``SamplerConfig`` fixes (seed, stream_id, count)
-and the same configuration always reproduces the same batch bit for bit. The
-direct samplers and the pair histogram work through row blocks of about
-``_rng._BLOCK`` numbers in place; the block size changes no output.
+and the same configuration always reproduces the same batch bit for bit.
 Substreams with distinct stream ids are independent, and histogram merging is
 associative and commutative, so parallel runs give identical results
 regardless of how the work is split.
+
+A batch of 2P points is binned as the P pairs (x[i], x[P + i]). Since the
+stream is counter-based, the direct samplers (uniform, Gaussian, shells) can
+draw any pair window [lo, hi) alone: rows [lo, hi) stacked over rows
+P + [lo, hi), from exactly their own words. ``substream_histogram`` walks a
+substream window by window, so for direct samplers memory is bounded by the
+window (about 4 ``_rng._BLOCK`` numbers), whatever the pair count; rejection
+and monomial samplers draw and hold their whole substream. Window and block
+sizes change no output bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -42,6 +49,7 @@ from .core import (
 
 __all__ = [
     "SamplerConfig",
+    "PairWindow",
     "DistanceHistogram",
     "ComparisonReport",
     "PdfCurve",
@@ -49,6 +57,7 @@ __all__ = [
     "sample_density",
     "empirical_pair_pdf",
     "pair_histogram",
+    "substream_histogram",
     "merge_histograms",
     "compare",
     "chi_square_survival",
@@ -62,17 +71,35 @@ _MONOMIAL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
+class PairWindow:
+    """Pairs [lo, hi) of a batch of 2P points: rows [lo, hi) stacked over
+    rows P + [lo, hi), bit for bit those rows of the whole batch.
+
+    ``rows``, if given, is float64 scratch of at least 2 (hi - lo) n elements
+    that the sampler writes the window's points into, so a caller walking a
+    batch window by window reuses one array."""
+    lo: int
+    hi: int
+    rows: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
 class SamplerConfig:
-    """Deterministic sampling request: (seed, stream_id, count)."""
+    """Deterministic sampling request: (seed, stream_id, count), and
+    optionally one ``PairWindow`` of the batch of count = 2P points."""
     seed: int
     count: int
     stream_id: int = 0
+    window: PairWindow | None = None
 
     def __post_init__(self):
         if self.count < 0:
             raise DomainError("count must be >= 0")
         if self.seed < 0 or self.stream_id < 0:
             raise DomainError("seed and stream_id must be non-negative")
+        w = self.window
+        if w is not None and (self.count % 2 or not 0 <= w.lo < w.hi <= self.count // 2):
+            raise DomainError(f"pairs [{w.lo}, {w.hi}) are not a window of {self.count} points")
 
 
 @dataclass(frozen=True)
@@ -158,13 +185,34 @@ def _rows_per_block(n: int) -> int:
     return max(1, _BLOCK // n)
 
 
-def _uniform_ball_points(geometry: BallGeometry, stream: CounterStream, count: int) -> np.ndarray:
+def _normal_rows(stream: CounterStream, n: int, count: int, window) -> np.ndarray:
+    """The next count x n normals as rows, or the rows of a pair window: a
+    batch of 2P rows has m = Pn Box-Muller pairs, row i is r cos of pairs
+    [n i, n i + n) and row P + i is r sin of the same pairs."""
+    if window is None:
+        return stream.normals(count * n).reshape(-1, n)
+    size = 2 * n * (window.hi - window.lo)
+    out = None if window.rows is None else window.rows[:size]
+    return stream.normals(count * n, window=(n * window.lo, n * window.hi),
+                          out=out).reshape(-1, n)
+
+
+def _bounds(window):
+    return None if window is None else (window.lo, window.hi)
+
+
+def _uniform_ball_points(geometry: BallGeometry, stream: CounterStream, count: int,
+                         window=None) -> np.ndarray:
     n, R = geometry.dimension, geometry.radius
-    z = stream.normals(count * n).reshape(count, n)
+    z = _normal_rows(stream, n, count, window)
+    # a window's radii are two runs of words; a whole batch draws its radii
+    # block by block, so they never take a count-sized array
+    radii = None if window is None else stream.uniforms(count, window=_bounds(window))
     rows = _rows_per_block(n)
-    for lo in range(0, count, rows):
+    for lo in range(0, len(z), rows):
         zb = z[lo:lo + rows]
-        _scale_rows(zb, R * stream.uniforms(len(zb)) ** (1.0 / n))
+        u = stream.uniforms(len(zb)) if radii is None else radii[lo:lo + rows]
+        _scale_rows(zb, R * u ** (1.0 / n))
     return z
 
 
@@ -175,7 +223,7 @@ def sample_uniform_ball(geometry: BallGeometry, config: SamplerConfig) -> np.nda
 
 
 def _multishell_points(geometry: BallGeometry, model: MultiShell,
-                       stream: CounterStream, count: int) -> np.ndarray:
+                       stream: CounterStream, count: int, window=None) -> np.ndarray:
     n = geometry.dimension
     radii = np.array([float(r) for r in model.radii])
     if radii[-1] > geometry.radius:
@@ -186,10 +234,10 @@ def _multishell_points(geometry: BallGeometry, model: MultiShell,
     cum = np.concatenate([[0.0], np.cumsum(mass)])
     # zero-density shells carry no mass, but guard the division anyway
     safe = np.where(dens > 0.0, dens, 1.0)
-    u = stream.uniforms(count)
-    z = stream.normals(count * n).reshape(count, n)
+    u = stream.uniforms(count, window=_bounds(window))
+    z = _normal_rows(stream, n, count, window)
     rows = _rows_per_block(n)
-    for lo in range(0, count, rows):
+    for lo in range(0, len(z), rows):
         v = u[lo:lo + rows] * cum[-1]
         idx = np.clip(np.searchsorted(cum, v, side="right") - 1, 0, len(dens) - 1)
         _scale_rows(z[lo:lo + rows], (rn[idx] + (v - cum[idx]) / safe[idx]) ** (1.0 / n))
@@ -249,6 +297,12 @@ def _rejection_points(geometry: BallGeometry, density: DensityModel,
     return out
 
 
+# Densities whose samplers draw any pair window alone. The rejection samplers
+# cannot (row i depends on every accepted row before it), nor can the monomial
+# sampler (its fixed blocks do not line up with the two halves of a batch).
+_WINDOWED = (Uniform, Gaussian, MultiShell)
+
+
 def sample_density(geometry: BallGeometry, density: DensityModel,
                    config: SamplerConfig) -> np.ndarray:
     """Points distributed proportionally to ``density``.
@@ -258,22 +312,25 @@ def sample_density(geometry: BallGeometry, density: DensityModel,
     (Dirichlet law of the squared coordinates, from sums of squared normals)
     are sampled directly. RadialPolynomial, ParabolicRadial and
     GeneralCartesian are sampled by rejection against the uniform-ball
-    proposal with the model's certified bound.
+    proposal with the model's certified bound. A ``config.window`` is
+    served for Uniform, Gaussian and MultiShell only.
     """
     stream = _stream_for(config)
-    n = geometry.dimension
+    n, count, window = geometry.dimension, config.count, config.window
+    if window is not None and not isinstance(density, _WINDOWED):
+        raise DomainError(f"{type(density).__name__} has no pair-window sampler")
     if isinstance(density, Uniform):
-        return _uniform_ball_points(geometry, stream, config.count)
+        return _uniform_ball_points(geometry, stream, count, window)
     if isinstance(density, Gaussian):
-        z = stream.normals(config.count * n).reshape(config.count, n)
+        z = _normal_rows(stream, n, count, window)
         z *= density.sigma
         return z
     if isinstance(density, MultiShell):
-        return _multishell_points(geometry, density, stream, config.count)
+        return _multishell_points(geometry, density, stream, count, window)
     if isinstance(density, CartesianMonomial):
-        return _monomial_points(geometry, density, stream, config.count)
+        return _monomial_points(geometry, density, stream, count)
     if isinstance(density, (RadialPolynomial, ParabolicRadial, GeneralCartesian)):
-        return _rejection_points(geometry, density, stream, config.count)
+        return _rejection_points(geometry, density, stream, count)
     raise InvalidDensityError(f"no sampler for {type(density).__name__}")
 
 
@@ -288,15 +345,18 @@ def check_histogram_request(pairs: int, bins: int) -> None:
         raise DomainError("need at least 8 bins")
 
 
-def pair_histogram(points: np.ndarray, pairs: int, edges: np.ndarray) -> DistanceHistogram:
+def pair_histogram(points: np.ndarray, pairs: int, edges: np.ndarray,
+                   counts: np.ndarray | None = None) -> DistanceHistogram:
     """Histogram on ``edges`` of |points[pairs + i] - points[i]|, i < pairs.
 
     Distances are formed and binned a block of rows at a time; the counts are
-    those of one ``np.histogram`` over all the distances, bit for bit.
+    those of one ``np.histogram`` over all the distances, bit for bit. Given
+    ``counts`` (int64), they are added into it, and the histogram holds it.
     """
     n = points.shape[1]
     rows = _rows_per_block(n)
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    if counts is None:
+        counts = np.zeros(len(edges) - 1, dtype=np.int64)
     for lo in range(0, pairs, rows):
         hi = min(lo + rows, pairs)
         d = points[pairs + lo:pairs + hi] - points[lo:hi]
@@ -304,6 +364,43 @@ def pair_histogram(points: np.ndarray, pairs: int, edges: np.ndarray) -> Distanc
         np.sqrt(dist, out=dist)
         counts += np.histogram(dist, bins=edges)[0]
     return DistanceHistogram(edges=edges, counts=counts)
+
+
+# Pairs per window: two row blocks, so a window holds about 4 _BLOCK numbers
+# (2n per pair, 1 MB of points) and splits into whole blocks at every stage.
+# Each window costs about a hundred numpy calls, and pool threads hand the
+# interpreter lock over at each one; windows of one _BLOCK made two-thread
+# runs about 20% slower. Every window draws exactly its own words of the
+# substream, so the window size changes no output bit.
+_ROW_BLOCKS_PER_WINDOW = 2
+
+
+def _pairs_per_window(n: int) -> int:
+    return _ROW_BLOCKS_PER_WINDOW * _rows_per_block(n)
+
+
+def substream_histogram(geometry: BallGeometry, density: DensityModel,
+                        config: SamplerConfig, edges: np.ndarray) -> DistanceHistogram:
+    """Histogram on ``edges`` of the config.count // 2 pair distances
+    |x[P + i] - x[i]| of one substream's batch of config.count = 2P points.
+
+    Direct samplers are drawn and binned one pair window at a time, so memory
+    is bounded by the window; rejection and monomial samplers draw the whole
+    batch first. The counts are the same either way, bit for bit.
+    """
+    pairs = config.count // 2
+    if not isinstance(density, _WINDOWED) or pairs == 0:
+        return pair_histogram(sample_density(geometry, density, config), pairs, edges)
+    n = geometry.dimension
+    step = _pairs_per_window(n)
+    # one histogram and one array of points serve every window
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    rows = np.empty(2 * n * step)
+    for lo in range(0, pairs, step):
+        hi = min(lo + step, pairs)
+        window = replace(config, window=PairWindow(lo, hi, rows))
+        hist = pair_histogram(sample_density(geometry, density, window), hi - lo, edges, counts)
+    return hist
 
 
 def empirical_pair_pdf(geometry: BallGeometry, density: DensityModel,
@@ -316,8 +413,8 @@ def empirical_pair_pdf(geometry: BallGeometry, density: DensityModel,
     """
     check_histogram_request(pairs, bins)
     cfg = SamplerConfig(seed=config.seed, count=2 * pairs, stream_id=config.stream_id)
-    pts = sample_density(geometry, density, cfg)
-    return pair_histogram(pts, pairs, np.linspace(0.0, geometry.diameter, bins + 1))
+    return substream_histogram(geometry, density, cfg,
+                               np.linspace(0.0, geometry.diameter, bins + 1))
 
 
 def merge_histograms(*hists: DistanceHistogram) -> DistanceHistogram:

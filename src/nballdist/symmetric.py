@@ -42,6 +42,7 @@ from .core import (
     log_gamma,
     log_sphere_area,
 )
+from ._series import eval_split_at_2r, reexpand_at_2r
 from .uniform import _TINY, _log_reg_inc_beta_tail
 
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -66,15 +67,17 @@ __all__ = [
 
 _R2_COEFFS = {2: Fraction(25, 7), 3: Fraction(-25, 4), 4: Fraction(5),
               5: Fraction(-25, 16), 9: Fraction(5, 448)}
+_R2_AT_2R = reexpand_at_2r(_R2_COEFFS)
 
 
 def pdf_radial_r2(geometry: BallGeometry, s):
-    """P_3(s) for the radial density rho ~ r^2 in a 3-ball; s a float or an ndarray."""
+    """P_3(s) for the radial density rho ~ r^2 in a 3-ball (degree-9
+    polynomial, summed in powers of 2R - s above s = 1.4R); s a float or an
+    ndarray."""
     if geometry.dimension != 3:
         raise UnsupportedError("the rho ~ r^2 closed form is only available for n = 3")
     s = _as_support(geometry, s)
-    R = geometry.radius
-    out = sum(float(c) * s ** k / R ** (k + 1) for k, c in _R2_COEFFS.items())
+    out = eval_split_at_2r(_R2_COEFFS, _R2_AT_2R, s, geometry.radius)
     return out if out.ndim else float(out)
 
 

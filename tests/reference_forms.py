@@ -8,7 +8,9 @@ the comparison demands it. The shell PDF also has a second, independent
 oracle: nested adaptive quadrature of the overlap integral. The random
 number stream has a one-shot oracle: ``OneShotStream`` draws words, uniforms
 and normals in single whole-array passes, the form the blocked
-``CounterStream`` must reproduce bit for bit.
+``CounterStream`` must reproduce bit for bit. On top of it, the direct
+samplers (uniform ball, Gaussian, shells) are written as whole-batch draws,
+the form every pair window of ``sample_density`` must reproduce bit for bit.
 
 Two coefficients of the 4-shell table are known to be misprinted in
 circulating tabulations; both misprints break the continuity of the PDF at
@@ -319,6 +321,43 @@ class OneShotStream:
         r = np.sqrt(-2.0 * np.log(u1))
         ang = 2.0 * np.pi * u2
         return np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:k]
+
+
+# ---------------------------------------------------------------------------
+# Whole-batch direct samplers over the one-shot stream
+# ---------------------------------------------------------------------------
+
+def _scaled_rows(z, radii):
+    """Rows of z rescaled to the given lengths (a zero row stays zero)."""
+    norm = np.sqrt(np.sum(z * z, axis=1))
+    norm[norm == 0.0] = 1.0
+    return z * (radii / norm)[:, None]
+
+
+def uniform_ball_batch(n, R, seed, stream, count):
+    """count uniform points in the n-ball: count x n normals, then count
+    radii R U^(1/n) from the words after them."""
+    rng = OneShotStream(seed, stream)
+    z = rng.normals(count * n).reshape(count, n)
+    return _scaled_rows(z, R * rng.uniforms(count) ** (1.0 / n))
+
+
+def gaussian_batch(n, sigma, seed, stream, count):
+    return OneShotStream(seed, stream).normals(count * n).reshape(count, n) * sigma
+
+
+def shells_batch(n, radii, densities, seed, stream, count):
+    """Shell picks from the first count uniforms, inverse CDF of the
+    piecewise r^n radial mass, directions from the normals after them."""
+    rng = OneShotStream(seed, stream)
+    dens = np.array(densities, dtype=float)
+    rn = np.concatenate([[0.0], np.array(radii, dtype=float) ** n])
+    cum = np.concatenate([[0.0], np.cumsum(dens * np.diff(rn))])
+    v = rng.uniforms(count) * cum[-1]
+    z = rng.normals(count * n).reshape(count, n)
+    idx = np.clip(np.searchsorted(cum, v, side="right") - 1, 0, len(dens) - 1)
+    safe = np.where(dens > 0.0, dens, 1.0)
+    return _scaled_rows(z, (rn[idx] + (v - cum[idx]) / safe[idx]) ** (1.0 / n))
 
 
 def splitmix_word(seed, stream, i):

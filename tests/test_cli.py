@@ -59,6 +59,26 @@ def test_parse_density_errors_exit_2(tmp_path):
 # pdf subcommand
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ("-n", "3", "-R", "8", "--density", "gauss:1"),
+    ("-n", "3", "--density", "uniform"),
+    ("-n", "3", "--density", "shells:0.5,1.0;1,2"),
+])
+def test_pdf_csv_matches_the_row_by_row_writer(tmp_path, argv):
+    # a grid of 2 chunks + 3 rows holding s = 0; at R = 8 the Gaussian tail
+    # runs down to about 1e-26, in exponent notation
+    from nballdist import cli
+    grid_len = 2 * cli._CSV_CHUNK + 3
+    assert run(tmp_path, "pdf", *argv, "--grid", str(grid_len), "-o", "p.csv") == 0
+    n, R = int(argv[1]), float(argv[3]) if argv[2] == "-R" else 1.0
+    geometry = BallGeometry(n, R)
+    grid = np.linspace(0.0, geometry.diameter, grid_len)
+    values = resolve_evaluator(geometry, parse_density(argv[-1]))(grid)
+    want = "s,analytic_density\n" + "".join(
+        f"{cli._fmt(s)},{cli._fmt(v)}\n" for s, v in zip(grid, values))
+    with open(tmp_path / "p.csv", newline="") as fh:
+        assert fh.read() == want
+
 def test_pdf_uniform_grid(tmp_path):
     assert run(tmp_path, "pdf", "-n", "3", "-R", "1", "--density", "uniform",
                "--grid", "201", "-o", "u.csv") == 0

@@ -29,6 +29,7 @@ from nballdist import (
     sample_density,
     sample_uniform_ball,
 )
+import reference_forms as ref
 from nballdist._rng import CounterStream
 from nballdist.montecarlo import chi_square_survival
 
@@ -376,3 +377,136 @@ def test_uniform_ball_scratch_memory_is_bounded():
         tracemalloc.stop()
     # the 3e6 coordinates take 23 MB; whole-array passes peaked at 112 MB
     assert peak < 56
+
+
+# ---------------------------------------------------------------------------
+# Pair windows against the whole-batch oracle
+# ---------------------------------------------------------------------------
+
+def _window_cases():
+    from nballdist.montecarlo import _pairs_per_window
+    shells = MultiShell((0.3, 0.6, 1.0), (3.0, 1.0, 2.0))
+    models = ([(n, Uniform(), lambda n, c: ref.uniform_ball_batch(n, 1.5, 42, 3, c))
+               for n in (1, 2, 3, 5, 8, 9)]
+              + [(3, Gaussian(1.3), lambda n, c: ref.gaussian_batch(n, 1.3, 42, 3, c))]
+              + [(n, shells, lambda n, c: ref.shells_batch(n, shells.radii, shells.densities,
+                                                         42, 3, c)) for n in (3, 4)])
+    for n, density, oracle in models:
+        w = _pairs_per_window(n)
+        for pairs in (1000, w - 1, w, w + 1, 3 * w + 7):
+            yield pytest.param(n, density, oracle, pairs,
+                               id=f"{type(density).__name__}-n{n}-pairs{pairs}")
+
+
+@pytest.mark.parametrize("n,density,oracle,pairs", _window_cases())
+def test_pair_windows_match_the_whole_batch_oracle(n, density, oracle, pairs):
+    from nballdist.montecarlo import PairWindow, _pairs_per_window, substream_histogram
+    g = BallGeometry(n, 1.5)
+    whole = oracle(n, 2 * pairs)
+    step = _pairs_per_window(n)
+    for lo in range(0, pairs, step):
+        hi = min(lo + step, pairs)
+        got = sample_density(g, density, SamplerConfig(42, 2 * pairs, 3, PairWindow(lo, hi)))
+        assert np.array_equal(got, np.concatenate([whole[lo:hi], whole[pairs + lo:pairs + hi]]))
+    # the whole batch is unchanged too, and so is the streamed histogram
+    assert np.array_equal(sample_density(g, density, SamplerConfig(42, 2 * pairs, 3)), whole)
+    edges = np.linspace(0.0, g.diameter, 33)
+    d = np.sqrt(np.sum((whole[pairs:] - whole[:pairs]) ** 2, axis=1))
+    hist = substream_histogram(g, density, SamplerConfig(42, 2 * pairs, 3), edges)
+    assert np.array_equal(hist.counts, np.histogram(d, bins=edges)[0])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_odd_counts_keep_the_whole_batch(n):
+    # the middle row of an odd batch mixes r cos and r sin; it is drawn whole
+    g = BallGeometry(n, 1.5)
+    got = sample_density(g, Uniform(), SamplerConfig(42, 2001, 3))
+    assert np.array_equal(got, ref.uniform_ball_batch(n, 1.5, 42, 3, 2001))
+
+
+def test_window_requests_are_checked():
+    from nballdist.montecarlo import PairWindow
+    for count, lo, hi in ((2001, 0, 10), (2000, 10, 10), (2000, -1, 5), (2000, 990, 1001)):
+        with pytest.raises(DomainError):
+            SamplerConfig(42, count, 0, PairWindow(lo, hi))
+    # rejection and monomial samplers draw whole batches only
+    for density in (RadialPolynomial((0, 0, 1)), CartesianMonomial((2, 2, 2))):
+        with pytest.raises(DomainError):
+            sample_density(G3, density, SamplerConfig(42, 2000, 0, PairWindow(0, 10)))
+
+
+def test_window_draws_only_its_own_words():
+    # pairs [lo, hi) of 2P points in n dimensions: u1 at counters n[lo, hi),
+    # u2 at m + n[lo, hi) with m = Pn, radii at 2m + [lo, hi) and 2m + P + [lo, hi)
+    from nballdist.montecarlo import PairWindow
+    calls = []
+    words = CounterStream.words
+
+    def counting(stream, k):
+        calls.append((stream.counter, k))
+        return words(stream, k)
+    n, P, lo, hi = 3, 1000, 100, 250
+    CounterStream.words = counting
+    try:
+        sample_density(G3, Uniform(), SamplerConfig(42, 2 * P, 0, PairWindow(lo, hi)))
+    finally:
+        CounterStream.words = words
+    m = P * n
+    assert calls == [(n * lo, n * (hi - lo)), (m + n * lo, n * (hi - lo)),
+                     (2 * m + lo, hi - lo), (2 * m + P + lo, hi - lo)]
+
+
+# Seed-42 counts recorded before pair windows existed: any change to the
+# stream, a sampler or the pair layout changes them.
+PINNED_COUNTS = [
+    (BallGeometry(1), Uniform(), [672, 624, 497, 445, 339, 242, 136, 45]),
+    (BallGeometry(3), Uniform(), [48, 250, 475, 648, 676, 563, 279, 61]),
+    (BallGeometry(9), Uniform(), [0, 3, 78, 385, 978, 1094, 440, 22]),
+    (BallGeometry(3, 8.0), Gaussian(1.0), [1327, 1534, 139, 0, 0, 0, 0, 0]),
+    (BallGeometry(3), MultiShell((0.5, 1.0), (1.0, 2.0)), [45, 227, 453, 613, 682, 596, 310, 74]),
+    (BallGeometry(4), MultiShell((0.3, 0.6, 1.0), (3.0, 1.0, 2.0)),
+     [9, 106, 328, 622, 811, 675, 396, 53]),
+    (BallGeometry(3), CartesianMonomial((2, 2, 2)), [75, 212, 216, 363, 578, 716, 574, 266]),
+]
+
+
+@pytest.mark.parametrize("g,density,counts", PINNED_COUNTS,
+                         ids=[f"{type(d).__name__}-n{g.dimension}" for g, d, _ in PINNED_COUNTS])
+def test_pinned_seed_42_histograms(g, density, counts):
+    hist = empirical_pair_pdf(g, density, 3000, 8, SamplerConfig(42, 0))
+    assert hist.counts.tolist() == counts
+
+
+@pytest.mark.parametrize("g,density,counts", [
+    (BallGeometry(3), Uniform(), [261, 1548, 3166, 4436, 4505, 3741, 1971, 383]),
+    (BallGeometry(3, 8.0), Gaussian(1.0), [8465, 10605, 933, 8, 0, 0, 0, 0]),
+    (BallGeometry(3), MultiShell((0.5, 1.0), (1.0, 2.0)),
+     [250, 1494, 2910, 4058, 4541, 4112, 2208, 438]),
+], ids=["uniform", "gauss", "shells"])
+def test_pinned_seed_42_parallel_histograms(g, density, counts):
+    from nballdist.cli import empirical_pair_pdf_parallel
+    for threads in (1, 2):
+        hist = empirical_pair_pdf_parallel(g, density, 20011, 8, 42, max_workers=threads)
+        assert hist.counts.tolist() == counts
+
+
+@pytest.mark.parametrize("g,density,pairs", [
+    (BallGeometry(3), Uniform(), 4_000_000),
+    (BallGeometry(3, 8.0), Gaussian(1.0), 4_000_000),
+    (BallGeometry(3), MultiShell((0.5, 1.0), (1.0, 2.0)), 4_000_000),
+    (BallGeometry(9), Uniform(), 4_000_000),
+    (BallGeometry(3), Uniform(), 8_000_000),
+], ids=["uniform3-4e6", "gauss-4e6", "shells-4e6", "uniform9-4e6", "uniform3-8e6"])
+def test_pair_histogram_memory_does_not_grow_with_pairs(g, density, pairs):
+    # whole substreams peaked at 12.0 / 12.0 / 15.8 / 34.9 MiB at 4e6 pairs;
+    # windows hold about 131072 numbers whatever the pair count
+    import tracemalloc
+    from nballdist.cli import empirical_pair_pdf_parallel
+    tracemalloc.start()
+    try:
+        hist = empirical_pair_pdf_parallel(g, density, pairs, 64, 42, max_workers=1)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert hist.total <= pairs
+    assert peak <= 4.0

@@ -169,10 +169,34 @@ def test_inc_gamma_large_order():
     for a, b in [(171.5, 400.0), (172.0, 400.0), (200.0, 600.0)]:
         want = float(mp.gammainc(mp.mpf(a), mp.mpf(b)))
         assert inc_gamma_upper(a, b) == pytest.approx(want, rel=1e-12)
-    # 2.3e-212 with Q(a, b) below the double range; 1e612 above it
-    for a, b in [(200.0, 2000.0), (300.0, 1.0)]:
-        with pytest.raises(PrecisionError):
-            inc_gamma_upper(a, b)
+    # 1e612 lies above the double range
+    with pytest.raises(PrecisionError):
+        inc_gamma_upper(300.0, 1.0)
+
+
+@pytest.mark.parametrize("a,b,want", [
+    (200.0, 2000.0, 2.2987672564663628e-212),
+    (50.0, 1000.0, 5.3372076819417196e-288),
+])
+def test_inc_gamma_where_q_underflows(a, b, want):
+    # Q(a, b) underflows to 0; the continued fraction gives Gamma(a, b) itself
+    assert inc_gamma_upper(a, b) == pytest.approx(want, rel=1e-13)
+    assert want == pytest.approx(float(mp.gammainc(mp.mpf(a), mp.mpf(b))), rel=1e-15)
+
+
+def test_inc_gamma_continued_fraction_against_mpmath():
+    from nballdist.core import _inc_gamma_upper_cf
+    for a in [0.5, 3.0, 40.5, 171.5, 350.0]:
+        for ratio in [1.5, 3.0, 10.0]:
+            b = a * ratio + 2.0
+            want = float(mp.gammainc(mp.mpf(a), mp.mpf(b)))
+            assert _inc_gamma_upper_cf(a, b) == pytest.approx(want, rel=1e-14), (a, b)
+
+
+def test_inc_gamma_below_the_double_range_still_raises():
+    # the true value is 6.9e-328, below the smallest subnormal
+    with pytest.raises(PrecisionError):
+        inc_gamma_upper(0.5, 750.0)
 
 
 def test_inc_gamma_domain():

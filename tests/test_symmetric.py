@@ -49,6 +49,19 @@ def test_r2_closed_form_values():
     assert pdf_radial_r2(G3, 1.0) == pytest.approx(345.0 / 448.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("R", [1.0, 2.5])
+@pytest.mark.parametrize("t", [0.5, 1.39, 1.41, 1.9, 1.99, 1.9999])
+def test_r2_near_the_diameter_against_mpmath(t, R):
+    # the printed powers of s cancel as s -> 2R (8.6e-8 relative at 1.9999R
+    # when summed as printed); powers of 2R - s keep full accuracy there
+    from nballdist.symmetric import _R2_COEFFS
+    s = t * R
+    with mp.workdps(50):
+        want = sum(mp.mpf(c.numerator) / c.denominator * mp.mpf(s) ** k / mp.mpf(R) ** (k + 1)
+                   for k, c in _R2_COEFFS.items())
+        assert pdf_radial_r2(BallGeometry(3, R), s) == pytest.approx(float(want), rel=1e-13)
+
+
 def test_r2_requires_n3():
     with pytest.raises(UnsupportedError):
         pdf_radial_r2(BallGeometry(2, 1.0), 0.5)
