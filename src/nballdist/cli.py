@@ -59,17 +59,15 @@ _STREAMS = 16  # fixed substream fan-out so thread count never changes results
 _CSV_CHUNK = 128
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_rows(fh, s, values) -> None:
-    """``s,value`` lines of %.17g floats, the same bytes as ``_fmt``, one
-    format call per chunk of rows."""
-    s, values = np.asarray(s, dtype=float), np.asarray(values, dtype=float)
-    for lo in range(0, len(s), _CSV_CHUNK):
-        flat = np.column_stack((s[lo:lo + _CSV_CHUNK], values[lo:lo + _CSV_CHUNK])).ravel()
-        fh.write("%.17g,%.17g\n" * (len(flat) // 2) % tuple(flat.tolist()))
+def _write_rows(fh, *columns) -> None:
+    """Comma-separated lines of %.17g floats, row i holding element i of
+    each column, one format call per chunk of rows. An integer count below
+    10^17 prints as its digits, as ``str(int(c))`` does."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), _CSV_CHUNK):
+        flat = np.column_stack([c[lo:lo + _CSV_CHUNK] for c in columns]).ravel()
+        fh.write(line * (len(flat) // len(columns)) % tuple(flat.tolist()))
 
 
 def parse_density(spec: str):
@@ -219,11 +217,8 @@ def cmd_compare(args) -> int:
     dens_analytic = evaluator(0.5 * (hist.edges[:-1] + hist.edges[1:]))
     with open(csv_path, "w", newline="\n") as fh:
         fh.write("s_lo,s_hi,count,empirical_density,analytic_density\n")
-        emp = hist.empirical_density
-        for i in range(len(hist.counts)):
-            fh.write(",".join([_fmt(hist.edges[i]), _fmt(hist.edges[i + 1]),
-                               str(int(hist.counts[i])), _fmt(emp[i]),
-                               _fmt(dens_analytic[i])]) + "\n")
+        _write_rows(fh, hist.edges[:-1], hist.edges[1:], hist.counts,
+                    hist.empirical_density, dens_analytic)
     report_path = base + ".report.json"
     with open(report_path, "w", newline="\n") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)

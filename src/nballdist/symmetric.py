@@ -10,7 +10,8 @@ balls and expands the pair kernel bilinearly over ball pairs using the
 two-radius overlap volume. At n = 3 every coefficient is kept in rational
 arithmetic, which reproduces the printed equal-thickness 2/3/4-shell tables
 and extends to arbitrary boundaries and shell counts; in other dimensions the
-overlap volume is a sum of two hyperspherical caps.
+balls go through ``uniform._balls_pdf``, the hyperspherical-cap kernel whose
+one-ball case is ``pdf_uniform``.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import special
 from scipy.integrate import quad
 
 from .core import (
@@ -43,7 +43,7 @@ from .core import (
     log_sphere_area,
 )
 from ._series import eval_split_at_2r, reexpand_at_2r
-from .uniform import _TINY, _log_reg_inc_beta_tail
+from .uniform import _balls_pdf
 
 _LOG_MAX = math.log(np.finfo(float).max)
 
@@ -190,12 +190,14 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s: float,
                        tol: float = 1e-8) -> float:
     """P_n(s) for an arbitrary radial density.
 
-    Shells (``MultiShell``) take the exact cap-volume sum of ``_shells_pdf``;
-    ``tol`` does not apply to them. Smooth profiles take nested adaptive
-    quadrature: the n-fold integral collapses to two nested one-dimensional
-    quadratures because the inner n-2 angular integrals are the volume
-    factor of the perpendicular (n-1)-ball, and the outer one runs over the
-    slice height x in [s/2, R], cosine-mapped (see ``_radial_unnormalized``).
+    Shells (``MultiShell``) take the exact cap-volume sum of ``_shells_pdf``,
+    the kernel of ``pdf_uniform`` applied to the balls whose differences are
+    the shells; ``tol`` does not apply to them. Smooth profiles take nested
+    adaptive quadrature: the n-fold integral collapses to two nested
+    one-dimensional quadratures because the inner n-2 angular integrals are
+    the volume factor of the perpendicular (n-1)-ball, and the outer one runs
+    over the slice height x in [s/2, R], cosine-mapped (see
+    ``_radial_unnormalized``).
     That curve is divided by its exact integral over [0, 2R],
     (Int_B rho)^2 / (2 |S^(n-1)|) from ``log_density_mass``, in log space,
     so it has unit mass up to the quadrature error in every dimension. The
@@ -426,7 +428,8 @@ def multishell_polynomial(geometry: BallGeometry, shells: MultiShell) -> Piecewi
 def pdf_multishell(geometry: BallGeometry, shells: MultiShell, s):
     """P_n(s) for a multi-shell density in any dimension; s a float or an
     ndarray. At n = 3 it is the float evaluation of the exact polynomial,
-    elsewhere the cap-volume sum of ``_shells_pdf``."""
+    elsewhere the cap-volume sum of ``_shells_pdf``, which shares its cap
+    numerics and its log-space range with ``pdf_uniform``."""
     if geometry.dimension == 3:
         return multishell_polynomial(geometry, shells)(_as_support(geometry, s))
     return _shells_pdf(geometry, shells, s)
@@ -436,80 +439,12 @@ def _shells_pdf(geometry: BallGeometry, shells: MultiShell, s):
     """P_n(s) for shells as a sum of two-ball overlap volumes, exact in every n.
 
     With c_i = d_i - d_(i+1) (d_(K+1) = 0) the density is the sum of the
-    uniform balls c_i 1[r <= r_i], so, with every volume taken over that of
-    the ball of radius R,
-    P(s) = n (s/R)^(n-1) sum_ij c_i c_j V(r_i, r_j; s) / (sum_i c_i (r_i/R)^n)^2 / R.
-    V(a, b; s) is the two caps cut off by the radical hyperplane at
-    h = (s^2 + a^2 - b^2)/2s from the first centre, V = C(a, h) + C(b, s - h),
-    and V(a, b; 0) = (min(a, b)/R)^n. The cap of the ball of radius r beyond
-    distance h >= 0 is C(r, h) = (r/R)^n I_y((n+1)/2, 1/2) / 2 with
-    y = 1 - h^2/r^2 (Li 2011, "Concise formulas for the area and volume of a
-    hyperspherical cap"), and C(r, h) = (r/R)^n - C(r, -h) for h < 0. The
-    beta function is fed the exact pair: y = (r - h)(r + h)/r^2 directly where
-    y < 1/2, so caps near s = 2R keep their digits, and 1 - I_x(1/2, (n+1)/2),
-    x = h^2/r^2, elsewhere. Where a cap's I_y underflows (near s = 2R at large
-    n) the sum is taken in log space, with I_y from DLMF 8.17.8, before
-    (s/R)^(n-1) scales it back. ``s`` is a float or an ndarray in [0, 2R].
-    Raises PrecisionError where a value leaves the double range ((s/R)^(n-1)
-    overflows near s = 2R once n > 1024).
+    uniform balls c_i 1[r <= r_i], whose pair-distance PDF is the cap-volume
+    sum of ``uniform._balls_pdf``. ``s`` is a float or an ndarray in [0, 2R].
     """
-    n, R = geometry.dimension, geometry.radius
     radii = [float(r) for r in shells.radii]
-    if radii[-1] > R:
-        raise InvalidDensityError(f"outermost shell boundary {radii[-1]} exceeds the ball radius {R}")
+    if radii[-1] > geometry.radius:
+        raise InvalidDensityError(
+            f"outermost shell boundary {radii[-1]} exceeds the ball radius {geometry.radius}")
     c = [float(d) - float(e) for d, e in zip(shells.densities, shells.densities[1:] + (0.0,))]
-    s = _as_support(geometry, s)
-    a_n = (n + 1) / 2.0
-
-    def tail(r, h):
-        """I_y((n+1)/2, 1/2) of the cap beyond |h|, and y."""
-        x, y = (h / r) ** 2, ((r - h) / r) * ((r + h) / r)
-        return np.where(x <= 0.5, special.betaincc(0.5, a_n, x),
-                        special.betainc(a_n, 0.5, np.clip(y, 0.0, 1.0))), y
-
-    def cap(r, h):
-        t, y = tail(r, h)
-        # I_y underflowed where y > 0 but I_y < tiny; it is exactly 0 for y <= 0
-        under = (h >= 0.0) & (y > 0.0) & (t < _TINY)
-        return (r / R) ** n * np.where(h >= 0.0, 0.5 * t, 1.0 - 0.5 * t), under
-
-    def log_cap(r, h):
-        t, y = tail(r, h)
-        log_t = np.log(t)
-        under = (y > 0.0) & (t < _TINY)
-        log_t[under] = _log_reg_inc_beta_tail(a_n, y[under])
-        return n * math.log(r / R) + np.where(h >= 0.0, log_t - math.log(2.0), np.log1p(-0.5 * t))
-
-    def heights(a, b, s):
-        # s - h for the second height keeps the two summing to s; the s = 0
-        # lanes divide by zero and are replaced by the limit
-        h = 0.5 * (s + (a - b) / s * (a + b))
-        return h, s - h
-
-    pairs = [(ci * cj, a, b) for ci, a in zip(c, radii) for cj, b in zip(c, radii) if ci * cj]
-    with np.errstate(all="ignore"):
-        total = np.zeros_like(s)
-        underflow = np.zeros(s.shape, dtype=bool)
-        for cc, a, b in pairs:
-            h, k = heights(a, b, s)
-            (ca, ua), (cb, ub) = cap(a, h), cap(b, k)
-            total += cc * np.where(s > 0.0, ca + cb, (min(a, b) / R) ** n)
-            underflow |= ua | ub
-        mass = sum(ci * (r / R) ** n for ci, r in zip(c, radii))
-        # np.power, not **, so that a float and an array element agree bit for bit
-        out = np.asarray(n * np.power(s / R, n - 1) * total / (mass * mass) / R)
-        logs = underflow & (s > 0.0) & np.isfinite(out)
-        if np.any(logs):
-            t = s[logs]
-            terms, signs = [], []
-            for cc, a, b in pairs:
-                for r, height in zip((a, b), heights(a, b, t)):
-                    terms.append(math.log(abs(cc)) + log_cap(r, height))
-                    signs.append(math.copysign(1.0, cc))
-            terms = np.array(terms)
-            top = np.max(terms, axis=0)
-            scaled = np.array(signs) @ np.exp(terms - top)
-            out[logs] = n / R * scaled * np.exp((n - 1) * np.log(t / R) + top - 2.0 * math.log(abs(mass)))
-    if not np.all(np.isfinite(out)):
-        raise PrecisionError(f"shell PDF leaves the double range at n={n}")
-    return out if out.ndim else float(out)
+    return _balls_pdf(geometry, tuple(zip(radii, c)), s)

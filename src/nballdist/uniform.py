@@ -63,9 +63,9 @@ class Representation(enum.Enum):
 
 
 def _x_of(geometry: BallGeometry, s: float) -> float:
-    # 1 - s^2/4R^2 in product form to avoid cancellation near s = 2R
-    t = s / geometry.diameter
-    return (1.0 - t) * (1.0 + t)
+    # 1 - s^2/4R^2 from the exact pair 2R -/+ s, so it keeps its digits near s = 2R
+    d = geometry.diameter
+    return ((d - s) / d) * ((d + s) / d)
 
 
 def normalization_constant(geometry: BallGeometry) -> float:
@@ -84,43 +84,114 @@ def _log_reg_inc_beta_tail(a: float, x: np.ndarray) -> np.ndarray:
             + np.log(special.hyp2f1(a + 0.5, 1.0, a + 1.0, x)))
 
 
-def pdf_uniform(geometry: BallGeometry, s):
-    """P_n(s) through the regularized incomplete beta, for a float or an
-    ndarray of s (a float in gives a float out, an array the same shape).
+def _cap_beta(a: float, r: float, h: np.ndarray) -> tuple:
+    """(I_x(a, 1/2), x) for the cap of the ball of radius r beyond |h|,
+    x = 1 - h^2/r^2 clipped to [0, 1].
 
-    With t = s/2R, both x = (1-t)(1+t) and its complement y = t^2 are exact,
-    and I_x((n+1)/2, 1/2) is 1 - I_y(1/2, (n+1)/2) where y <= x and
-    betainc((n+1)/2, 1/2, x) where x < y, so scipy never forms 1 - x itself
-    (the (x, y) pair of TOMS 708). The complement is taken by subtraction
-    where I_y <= 1/2 (y up to the median of Beta(1/2, (n+1)/2)), which loses
-    at most one bit, and by the slower betaincc elsewhere. Where I_x
-    underflows, and for n > 1024, whose s^(n-1) may overflow, the product is
-    taken in log space. Within x < 1e-12 of s = 2R the exact limit 0 is
-    returned.
+    Both x = ((r - h)/r)((r + h)/r) and its complement y = h^2/r^2 are exact,
+    and I_x(a, 1/2) is 1 - I_y(1/2, a) where y <= x and betainc(a, 1/2, x)
+    where x < y, so scipy never forms 1 - x itself (the (x, y) pair of
+    TOMS 708). The complement is taken by subtraction where I_y <= 1/2 (y up
+    to the median of Beta(1/2, a)), which loses at most one bit, and by the
+    slower betaincc elsewhere.
     """
-    s = _as_support(geometry, s)
-    n, R = geometry.dimension, geometry.radius
-    a = (n + 1) / 2.0
-    t = s / geometry.diameter
-    x, y = (1.0 - t) * (1.0 + t), t * t
+    x = np.clip(((r - h) / r) * ((r + h) / r), 0.0, 1.0)
+    y = (h / r) ** 2
     near = y <= x
-    # I_y(1/2, a) <= 1/2 up to the median of Beta(1/2, a)
     by_subtraction = near & (y <= special.betaincinv(0.5, a, 0.5))
-    ix = special.betainc(a, 0.5, x, where=~near, out=np.empty_like(s))
+    ix = special.betainc(a, 0.5, x, where=~near, out=np.empty_like(x))
     special.betainc(0.5, a, y, where=by_subtraction, out=ix)
     np.subtract(1.0, ix, where=by_subtraction, out=ix)
     special.betaincc(0.5, a, y, where=near & ~by_subtraction, out=ix)
-    inner = x >= 1e-12
-    logs = inner & (s > 0.0) & ((ix < _TINY) | (n > 1024))
-    direct = inner & ~logs
-    out = np.zeros_like(s)
-    out[direct] = n / R * ((s[direct] / R) ** (n - 1) * ix[direct])
-    if np.any(logs):
-        log_ix = np.log(np.maximum(ix[logs], _TINY))
-        under = ix[logs] < _TINY
-        log_ix[under] = _log_reg_inc_beta_tail(a, x[logs][under])
-        out[logs] = n / R * np.exp((n - 1) * np.log(s[logs] / R) + log_ix)
+    return ix, x
+
+
+def _balls_pdf(geometry: BallGeometry, balls, s):
+    """P_n(s) for the concentric uniform balls c_i 1[r <= r_i], ``balls``
+    being the pairs (r_i, c_i) with every r_i <= R; ``s`` a float or an
+    ndarray in [0, 2R].
+
+    With every volume taken over that of the largest ball with c_i != 0,
+    of radius rho (P does not depend on R),
+    P(s) = n (s/rho)^(n-1) sum_ij c_i c_j V(r_i, r_j; s) / (sum_i c_i (r_i/rho)^n)^2 / rho.
+    V(a, b; s), the overlap of two balls whose centres are s apart, is the
+    two caps cut off by the radical hyperplane at h = (s^2 + a^2 - b^2)/2s
+    from the first centre, V = C(a, h) + C(b, s - h), and the single cap
+    2 C(a, s/2) for a = b. V is symmetric, so each pair is summed once. The
+    cap of the ball of radius r beyond h >= 0 is
+    C(r, h) = (r/rho)^n I_x((n+1)/2, 1/2) / 2, x = 1 - h^2/r^2 (Li 2011,
+    "Concise formulas for the area and volume of a hyperspherical cap"), and
+    C(r, h) = (r/rho)^n - C(r, -h) for h < 0. At s = 0, h is infinite for
+    a != b, which gives the limit V(a, b; 0) = (min(a, b)/rho)^n.
+
+    Where a cap's I_x underflows (near s = 2R at large n), or (s/rho)^(n-1)
+    overflows (beyond n = 1024, or s > 2 rho), the sum is taken in log
+    space, with I_x from DLMF 8.17.8, before (s/rho)^(n-1) scales it back.
+    Raises PrecisionError where a value leaves the double range.
+    """
+    s = _as_support(geometry, s)
+    n = geometry.dimension
+    rho = max(r for r, c in balls if c)
+    a_n = (n + 1) / 2.0
+
+    def caps(t):
+        """(w, r, f, h, I_x, x) of each cap at the lanes t, whose term is
+        w (r/rho)^n f I_x for h >= 0 and w (r/rho)^n (1 - f I_x) for h < 0."""
+        for i, (a, ca) in enumerate(balls):
+            for j, (b, cb) in enumerate(balls[i:]):
+                # pairs i < j stand for both orders
+                w = ca * cb * (2.0 if j else 1.0)
+                if w == 0.0:
+                    continue
+                if a == b:
+                    yield (w, a, 1.0, 0.5 * t) + _cap_beta(a_n, a, 0.5 * t)
+                    continue
+                h = 0.5 * (t + (a - b) / t * (a + b))
+                yield (w, a, 0.5, h) + _cap_beta(a_n, a, h)
+                yield (w, b, 0.5, t - h) + _cap_beta(a_n, b, t - h)
+
+    mass = sum(c * (r / rho) ** n for r, c in balls if c)
+    with np.errstate(all="ignore"):
+        total = np.zeros_like(s)
+        underflow = np.zeros(s.shape, dtype=bool)
+        for w, r, f, h, ix, x in caps(s):
+            total += w * (r / rho) ** n * np.where(h >= 0.0, f * ix, 1.0 - f * ix)
+            underflow |= (h >= 0.0) & (x > 0.0) & (ix < _TINY)
+        # np.power, not **, so that a float and an array element agree bit for bit
+        out = np.asarray(n / rho * (np.power(s / rho, n - 1) * (total / (mass * mass))))
+        logs = (s > 0.0) & (underflow | ~np.isfinite(out))
+        if np.any(logs):
+            t = s[logs]
+            terms, signs = [], []
+            for w, r, f, h, ix, x in caps(t):
+                log_ix = np.log(ix)
+                tail = (x > 0.0) & (ix < _TINY)
+                log_ix[tail] = _log_reg_inc_beta_tail(a_n, x[tail])
+                terms.append(math.log(abs(w)) + n * math.log(r / rho)
+                             + np.where(h >= 0.0, math.log(f) + log_ix, np.log1p(-f * ix)))
+                signs.append(math.copysign(1.0, w))
+            terms = np.array(terms)
+            top = np.max(terms, axis=0)
+            # lanes where every cap is empty sum to 0, not to exp(-inf + inf)
+            scaled = np.array(signs) @ np.exp(terms - top, out=np.zeros_like(terms),
+                                              where=terms > -np.inf)
+            out[logs] = n / rho * scaled * np.exp((n - 1) * np.log(t / rho) + top
+                                                  - 2.0 * math.log(mass))
+    if not np.all(np.isfinite(out)):
+        raise PrecisionError(f"pair-distance PDF leaves the double range at n={n}")
     return out if out.ndim else float(out)
+
+
+def pdf_uniform(geometry: BallGeometry, s):
+    """P_n(s) = n (s/R)^(n-1) I_x((n+1)/2, 1/2) / R, x = 1 - s^2/4R^2, for a
+    float or an ndarray of s (a float in gives a float out, an array the same
+    shape): the one-ball case of ``_balls_pdf``, one incomplete-beta
+    evaluation per lane. The beta function is fed the exact pair
+    x = ((2R - s)/2R)((2R + s)/2R), y = s^2/4R^2, so the value keeps full
+    relative accuracy for every R up to s = 2R, and lanes where I_x
+    underflows or (s/R)^(n-1) overflows (n > 1024) are formed in log space.
+    """
+    return _balls_pdf(geometry, ((geometry.radius, 1.0),), s)
 
 
 def q_kernel_quadrature(geometry: BallGeometry, s: float) -> float:

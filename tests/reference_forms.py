@@ -188,7 +188,11 @@ def _cap_volume(n: int, r: float, h: float) -> float:
 
 def _overlap_volume(n: int, a: float, b: float, s: float) -> float:
     """Volume of B_a(0) and B_b(s e) together: two caps cut by the radical
-    hyperplane at distance d = (s^2 + a^2 - b^2)/2s from the first centre."""
+    hyperplane at distance d = (s^2 + a^2 - b^2)/2s from the first centre.
+    At n = 1 it is the exact length of [-a, a] and [s - b, s + b] together,
+    which the difference of caps would leave as rounding noise."""
+    if n == 1:
+        return max(0.0, min(a, s + b) - max(-a, s - b))
     if s == 0.0:
         return _ball_volume(n, min(a, b))
     d = (s * s + a * a - b * b) / (2.0 * s)

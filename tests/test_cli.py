@@ -75,9 +75,28 @@ def test_pdf_csv_matches_the_row_by_row_writer(tmp_path, argv):
     grid = np.linspace(0.0, geometry.diameter, grid_len)
     values = resolve_evaluator(geometry, parse_density(argv[-1]))(grid)
     want = "s,analytic_density\n" + "".join(
-        f"{cli._fmt(s)},{cli._fmt(v)}\n" for s, v in zip(grid, values))
+        f"{float(s):.17g},{float(v):.17g}\n" for s, v in zip(grid, values))
     with open(tmp_path / "p.csv", newline="") as fh:
         assert fh.read() == want
+
+
+@pytest.mark.parametrize("density", ["uniform", "shells:0.5,1.0;1,2"])
+def test_compare_csv_matches_the_row_by_row_writer(tmp_path, density):
+    # 2 chunks + 3 bins; the counts print as integers, as str(int(c)) does
+    from nballdist import cli
+    bins = 2 * cli._CSV_CHUNK + 3
+    assert run(tmp_path, "compare", "-n", "3", "--density", density, "--pairs", "20000",
+               "--bins", str(bins), "--seed", "5", "--threshold", "0", "-o", "c.csv") == 0
+    geometry = BallGeometry(3, 1.0)
+    hist = cli.empirical_pair_pdf_parallel(geometry, parse_density(density), 20000, bins, 5)
+    edges, emp = hist.edges, hist.empirical_density
+    analytic = resolve_evaluator(geometry, parse_density(density))(0.5 * (edges[:-1] + edges[1:]))
+    want = "s_lo,s_hi,count,empirical_density,analytic_density\n" + "".join(
+        f"{float(edges[i]):.17g},{float(edges[i + 1]):.17g},{int(hist.counts[i])},"
+        f"{float(emp[i]):.17g},{float(analytic[i]):.17g}\n" for i in range(bins))
+    with open(tmp_path / "c.csv", newline="") as fh:
+        assert fh.read() == want
+
 
 def test_pdf_uniform_grid(tmp_path):
     assert run(tmp_path, "pdf", "-n", "3", "-R", "1", "--density", "uniform",

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import reference_forms as ref
@@ -20,7 +20,6 @@ from nballdist import (
     InvalidDensityError,
     MultiShell,
     ParabolicRadial,
-    PrecisionError,
     RadialPolynomial,
     Uniform,
     UnsupportedError,
@@ -246,6 +245,8 @@ def test_shells_large_dimension_against_mpmath(n, ts, R):
        radii=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5, unique=True),
        dens=st.lists(st.integers(0, 9), min_size=5, max_size=5).filter(any),
        s=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8))
+# a thin 1-D shell: no two of its points are 1 apart, and the cap volumes cancel
+@example(n=1, radii=[0.998046875, 1.0], dens=[0, 1, 0, 0, 0], s=[1.0])
 def test_shells_random_sets_match_cap_volume_oracle(n, radii, dens, s):
     radii = sorted(radii)
     dens = dens[:len(radii)]
@@ -273,10 +274,29 @@ def test_shells_caps_underflow_near_the_diameter():
                 assert pdf_multishell(BallGeometry(n, 1.0), MultiShell((0.5, 1.0), (1.0, 2.0)), x) == v
 
 
-def test_shells_overflow_is_a_precision_error():
-    shells = MultiShell((0.5, 1.0), (1.0, 2.0))
-    with pytest.raises(PrecisionError):
-        pdf_multishell(BallGeometry(1100, 1.0), shells, np.linspace(0.0, 2.0, 11))
+@pytest.mark.parametrize("n", [1100, 1500])
+def test_shells_past_n1024_are_finite(n):
+    # (s/R)^(n-1) overflows near s = 2R once n > 1024, so these lanes are
+    # summed in log space; P itself stays in range
+    s = np.linspace(0.0, 2.0, 11)
+    got = pdf_multishell(BallGeometry(n, 1.0), MultiShell((0.5, 1.0), (1.0, 2.0)), s)
+    assert np.all(np.isfinite(got)) and got[0] == 0.0 and got[-1] == 0.0
+    with mp.workdps(50):
+        for v, x in zip(got[1:-1], s[1:-1]):
+            want = float(_mp_shells_pdf(n, (0.5, 1.0), (1.0, 2.0), x))
+            if want > 1e-300:
+                assert v == pytest.approx(want, rel=2e-12, abs=0.0), x
+
+
+@pytest.mark.parametrize("n", [600, 1100])
+@pytest.mark.parametrize("shells", [MultiShell((0.5,), (1.0,)), MultiShell((0.5, 1.0), (1.0, 0.0))])
+def test_shells_inside_the_ball_at_large_n(n, shells):
+    # (0.5/R)^n underflows, so volumes are taken over the largest occupied
+    # ball; the density is the uniform ball of radius 0.5
+    s = np.linspace(0.0, 2.0, 21)
+    got = pdf_multishell(BallGeometry(n, 1.0), shells, s)
+    assert got[:11].tolist() == pdf_uniform(BallGeometry(n, 0.5), s[:11]).tolist()
+    assert not np.any(got[11:])
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -93,17 +93,27 @@ def _pdf_uniform_mpmath(n, s, radius=1.0):
                                                       regularized=True)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 200])
-def test_pdf_uniform_against_mpmath(n):
-    g = BallGeometry(n, 1.0)
-    grid = np.array([1e-8, 1e-6, 1e-3, 0.3, 1.0, 1.7, 1.99, 1.999999])
+# R = 0.7 and 3 are not powers of two, so s/2R rounds before 1 - s/2R is formed
+@pytest.mark.parametrize("n,R", [pytest.param(n, 1.0, id=str(n)) for n in (1, 2, 3, 7, 50, 200)]
+                         + [(3, 0.7), (3, 3.0), (100, 0.7), (100, 3.0)])
+def test_pdf_uniform_against_mpmath(n, R):
+    g = BallGeometry(n, R)
+    grid = R * np.array([1e-8, 1e-6, 1e-3, 0.3, 1.0, 1.7, 1.99, 1.9999, 1.999999])
     got = pdf_uniform(g, grid)
     for s, value in zip(grid, got):
-        want = _pdf_uniform_mpmath(n, float(s))
+        want = _pdf_uniform_mpmath(n, float(s), R)
         if want < 1e-300:
             assert 0.0 <= value <= 1e-300
         else:
             assert value == pytest.approx(float(want), rel=1e-12, abs=0.0), (n, s)
+        if s >= 1.99 * R:
+            # the incomplete-beta representation and Q_n take x from _x_of
+            assert pdf_uniform_repr(g, float(s), Representation.INC_BETA) == pytest.approx(
+                float(want), rel=1e-12, abs=0.0), (n, s)
+            with mp.workdps(50):
+                x = 1 - (mp.mpf(float(s)) / (2 * mp.mpf(R))) ** 2
+                q = mp.mpf(R) ** n / 2 * mp.betainc(mp.mpf(n + 1) / 2, 0.5, 0, x)
+            assert overlap_kernels(g, float(s))[0] == pytest.approx(float(q), rel=1e-12, abs=0.0), (n, s)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 50, 200])
