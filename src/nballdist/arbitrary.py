@@ -35,12 +35,13 @@ from .core import (
     Uniform,
     UnsupportedError,
     _as_support,
+    _row_sumsq,
     density_mass,
     density_value,
     log_gamma,
     sphere_area,
 )
-from .montecarlo import _row_sumsq, _uniform_ball_points
+from .montecarlo import PairWindow, _normal_rows, _rows_per_block, _uniform_ball_points
 from .uniform import overlap_kernels
 
 __all__ = [
@@ -229,16 +230,18 @@ def _master_unnormalized_quad(geometry: BallGeometry, density: DensityModel,
     rots, w_ang = _angular_rule(n, nodes)
     S = np.zeros(n)
     S[-1] = s
+    XS = X - S
     total = 0.0
     for m, wa in zip(rots, w_ang):
         a = density_value(density, X @ m, geometry)
-        b = density_value(density, (X - S) @ m, geometry)
+        b = density_value(density, XS @ m, geometry)
         total += wa * float(np.sum(Wc * a * b))
     return s ** (n - 1) * total
 
 
-def _sample_cap(geometry: BallGeometry, s: float, stream: CounterStream, count: int) -> np.ndarray:
-    """Uniform points over the cap {x_n in [s/2, R], |x_perp| <= sqrt(R^2-x_n^2)}."""
+def _cap_heights(geometry: BallGeometry, s: float, stream: CounterStream, count: int) -> np.ndarray:
+    """Heights x_n of uniform points over the cap {x_n in [s/2, R],
+    |x_perp| <= sqrt(R^2-x_n^2)}, by rejection on the (n-1)-ball slice volume."""
     n, R = geometry.dimension, geometry.radius
     xn = np.empty(count)
     got = 0
@@ -250,11 +253,27 @@ def _sample_cap(geometry: BallGeometry, s: float, stream: CounterStream, count: 
         take = min(len(keep), count - got)
         xn[got:got + take] = keep[:take]
         got += take
-    perp = _uniform_ball_points(BallGeometry(n - 1, 1.0), stream, count)
-    out = np.empty((count, n))
-    np.multiply(perp, np.sqrt(R * R - xn * xn)[:, None], out=out[:, :-1])
-    out[:, -1] = xn
-    return out
+    return xn
+
+
+def _windowed_values(count: int, n: int, values) -> np.ndarray:
+    """The count row values of a batch, filled one pair window at a time:
+    ``values(window)`` returns those of the window's rows [lo, hi) and
+    P + [lo, hi), P = count / 2. Windows hold about _BLOCK / 2 numbers per
+    array. An odd count has no pair windows and is filled by ``values(None)``
+    at once."""
+    vals = np.empty(count)
+    if count % 2:
+        vals[:] = values(None)
+        return vals
+    half = count // 2
+    step = max(1, _rows_per_block(n) // 4)
+    for lo in range(0, half, step):
+        hi = min(lo + step, half)
+        part = values(PairWindow(lo, hi))
+        vals[lo:hi] = part[:hi - lo]
+        vals[half + lo:half + hi] = part[hi - lo:]
+    return vals
 
 
 def _master_unnormalized_mc(geometry: BallGeometry, density: DensityModel,
@@ -264,27 +283,49 @@ def _master_unnormalized_mc(geometry: BallGeometry, density: DensityModel,
     measure (uniform directions u); cap points uniformly over the overlap cap,
     whose exact volume rescales the density-product average. The Householder
     reflection H = I - 2 v v^T / v^T v, v = e_n - u, sends e_n to u; any such
-    map will do, as the cap distribution is O(n-1)-invariant."""
+    map will do, as the cap distribution is O(n-1)-invariant.
+
+    A chunk of k samples takes, in stream order, k n normals for u, the cap
+    heights, then the k perpendicular points of the unit (n-1)-ball. The
+    heights are drawn whole; the rows of u and of the perpendicular points
+    are drawn and mapped one pair window at a time from their own counters,
+    bit for bit the rows of the whole draw."""
     n, R = geometry.dimension, geometry.radius
     if s >= 2.0 * R:
         return 0.0, 0.0
     q, _ = overlap_kernels(geometry, s)
     v_cap = math.pi ** ((n - 1) / 2.0) / math.exp(log_gamma((n + 1) / 2.0)) * q
     scale = s ** (n - 1) * v_cap * sphere_area(n)
+    e_n = np.eye(n)[-1]
+    slice_ball = BallGeometry(n - 1, 1.0)
 
     def draw(k):
-        u = stream.normals(k * n).reshape(k, n)
-        norm = np.sqrt(_row_sumsq(u))
-        norm[norm == 0.0] = 1.0
-        u /= norm[:, None]
-        v = np.eye(n)[-1] - u
-        vv = _row_sumsq(v)
-        vv[vv == 0.0] = 1.0  # u = e_n: v = 0 and H is the identity
-        HX = _sample_cap(geometry, s, stream, k)
-        HX -= v * (2.0 * np.sum(HX * v, axis=1) / vv)[:, None]
-        u *= s
-        np.subtract(HX, u, out=u)
-        return density_value(density, HX, geometry) * density_value(density, u, geometry)
+        c_u = stream.counter
+        stream.counter += 2 * ((k * n + 1) // 2)  # the words of normals(k n)
+        xn = _cap_heights(geometry, s, stream, k)
+        c_p = stream.counter
+
+        def products(window):
+            stream.counter = c_u
+            u = _normal_rows(stream, n, k, window)
+            stream.counter = c_p
+            perp = _uniform_ball_points(slice_ball, stream, k, window)
+            xn_w = xn if window is None else np.concatenate(
+                (xn[window.lo:window.hi], xn[k // 2 + window.lo:k // 2 + window.hi]))
+            norm = np.sqrt(_row_sumsq(u))
+            norm[norm == 0.0] = 1.0
+            u /= norm[:, None]
+            v = e_n - u
+            vv = _row_sumsq(v)
+            vv[vv == 0.0] = 1.0  # u = e_n: v = 0 and H is the identity
+            HX = np.empty((len(u), n))
+            np.multiply(perp, np.sqrt(R * R - xn_w * xn_w)[:, None], out=HX[:, :-1])
+            HX[:, -1] = xn_w
+            HX -= v * (2.0 * np.sum(HX * v, axis=1) / vv)[:, None]
+            u *= s
+            np.subtract(HX, u, out=u)
+            return density_value(density, HX, geometry) * density_value(density, u, geometry)
+        return _windowed_values(k, n, products)
     mean, err = _chunked_mean(samples, draw)
     return scale * mean, scale * err
 
@@ -321,14 +362,22 @@ def _master_norm(geometry: BallGeometry, density: DensityModel, method: str,
     """((Int_B rho)^2 / 2, its relative error 2 err_I / I); the mass I is
     exact (err_I = 0) except for GeneralCartesian."""
     if isinstance(density, GeneralCartesian):
+        n = geometry.dimension
         if method == "quadrature":
-            n = geometry.dimension
             mass = _mass_quad(geometry, density, _quad_levels(n, budget))
             mass_err = abs(mass - _mass_quad(geometry, density, _quad_levels(n, budget * 1e4)))
         else:
             stream = CounterStream(seed, 2)
-            mean, err = _chunked_mean(budget, lambda k: density_value(
-                density, _uniform_ball_points(geometry, stream, k), geometry))
+
+            def draw(k):
+                start = stream.counter
+
+                def values(window):
+                    stream.counter = start
+                    return density_value(
+                        density, _uniform_ball_points(geometry, stream, k, window), geometry)
+                return _windowed_values(k, n, values)
+            mean, err = _chunked_mean(budget, draw)
             volume = density_mass(Uniform(), geometry)
             mass, mass_err = volume * mean, volume * err
     else:

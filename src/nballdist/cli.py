@@ -59,6 +59,12 @@ _STREAMS = 16  # fixed substream fan-out so thread count never changes results
 _CSV_CHUNK = 128
 
 
+# Grid points per evaluator call of ``pdf``. Every evaluator is elementwise
+# in s, so the block size changes no output bit; it bounds the evaluators'
+# grid-sized temporaries to 4096 points.
+_PDF_BLOCK = 32 * _CSV_CHUNK
+
+
 def _write_rows(fh, *columns) -> None:
     """Comma-separated lines of %.17g floats, row i holding element i of
     each column, one format call per chunk of rows. An integer count below
@@ -178,10 +184,20 @@ def cmd_pdf(args) -> int:
     grid = np.linspace(0.0, geometry.diameter, args.grid)
     out = _out_path(args.output)
     outputs = [out]
-    values = evaluator(grid)
-    with open(out, "w", newline="\n") as fh:
-        fh.write("s,analytic_density\n")
-        _write_rows(fh, grid, values)
+    # Written block by block, so only the grid is held whole. Rows go to a
+    # temporary file first: an evaluator that fails part way leaves no
+    # partial CSV, and an older file of the same name stands.
+    partial = out + ".partial"
+    try:
+        with open(partial, "w", newline="\n") as fh:
+            fh.write("s,analytic_density\n")
+            for lo in range(0, len(grid), _PDF_BLOCK):
+                block = grid[lo:lo + _PDF_BLOCK]
+                _write_rows(fh, block, evaluator(block))
+        os.replace(partial, out)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
     if isinstance(density, MultiShell) and geometry.dimension == 3:
         poly = symmetric.multishell_polynomial(geometry, density)
         shells_path = os.path.splitext(out)[0] + ".shells.json"

@@ -280,8 +280,22 @@ def density_value(model: DensityModel, points: np.ndarray, geometry: BallGeometr
         return out
     if isinstance(model, GeneralCartesian):
         return np.asarray(model.func(points), dtype=float)
-    r = np.sqrt(np.sum(points * points, axis=-1))
-    return density_radial_value(model, r, geometry)
+    return density_radial_value(model, np.sqrt(_row_sumsq(points)), geometry)
+
+
+def _row_sumsq(z: np.ndarray) -> np.ndarray:
+    """Sums of z * z over the last axis, bit for bit ``np.sum(z * z,
+    axis=-1)``: below 8 columns numpy adds a row's squares in sequence, so
+    column adds in place give the same sums without a z-sized temporary."""
+    n = z.shape[-1]
+    if n >= 8:  # numpy sums longer rows pairwise
+        return np.sum(z * z, axis=-1)
+    acc = np.multiply(z[..., 0], z[..., 0])
+    sq = np.empty_like(acc)
+    for j in range(1, n):
+        np.multiply(z[..., j], z[..., j], out=sq)
+        acc += sq
+    return acc
 
 
 def density_bound(model: DensityModel, geometry: BallGeometry) -> float:

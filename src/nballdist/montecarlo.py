@@ -43,6 +43,7 @@ from .core import (
     ParabolicRadial,
     RadialPolynomial,
     Uniform,
+    _row_sumsq,
     density_bound,
     density_value,
 )
@@ -155,21 +156,6 @@ class ComparisonReport:
 
 def _stream_for(config: SamplerConfig) -> CounterStream:
     return CounterStream(config.seed, config.stream_id)
-
-
-def _row_sumsq(z: np.ndarray) -> np.ndarray:
-    """Row sums of z * z, bit for bit ``np.sum(z * z, axis=1)``: below 8
-    columns numpy adds a row's squares in sequence, so column adds in place
-    give the same sums without a (rows, n) temporary."""
-    n = z.shape[1]
-    if n >= 8:  # numpy sums longer rows pairwise
-        return np.sum(z * z, axis=1)
-    acc = np.multiply(z[:, 0], z[:, 0])
-    sq = np.empty_like(acc)
-    for j in range(1, n):
-        np.multiply(z[:, j], z[:, j], out=sq)
-        acc += sq
-    return acc
 
 
 def _scale_rows(z: np.ndarray, radii: np.ndarray) -> None:

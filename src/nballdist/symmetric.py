@@ -81,22 +81,33 @@ def pdf_radial_r2(geometry: BallGeometry, s):
     return out if out.ndim else float(out)
 
 
+@lru_cache(maxsize=64)
+def _parabolic_tables(alpha: float) -> tuple:
+    """The printed coefficients of the parabolic family at ``alpha``, exact
+    from Fraction(alpha), and their re-expansion about s = 2R."""
+    a = Fraction(alpha)
+    d = 5 - 3 * a
+    table = {2: 15 * (35 - 42 * a + 15 * a * a) / (7 * d * d),
+             3: -225 * (1 - a) ** 2 / (4 * d * d),
+             4: -15 * a / d,
+             5: 75 * (1 + 6 * a - 3 * a * a) / (16 * d * d),
+             7: -15 * a / (8 * d * d),
+             9: 45 * a * a / (448 * d * d)}
+    table = {k: c for k, c in table.items() if c}
+    return table, reexpand_at_2r(table)
+
+
 def pdf_radial_parabolic(geometry: BallGeometry, alpha: float, s):
     """P_3(s) for rho ~ 1 - alpha (r/R)^2, alpha in [0, 1]; alpha = 0 is the
-    uniform ball. ``s`` is a float or an ndarray."""
+    uniform ball. A degree-9 polynomial, summed in powers of 2R - s above
+    s = 1.4R; ``s`` is a float or an ndarray."""
     if geometry.dimension != 3:
         raise UnsupportedError("the parabolic closed form is only available for n = 3")
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
     s = _as_support(geometry, s)
-    R = geometry.radius
-    d = 5.0 - 3.0 * alpha
-    out = (15.0 * (35.0 - 42.0 * alpha + 15.0 * alpha * alpha) * s ** 2 / (7.0 * d * d * R ** 3)
-           - 225.0 * (1.0 - alpha) ** 2 * s ** 3 / (4.0 * d * d * R ** 4)
-           - 15.0 * alpha * s ** 4 / (d * R ** 5)
-           + 75.0 * (1.0 + 6.0 * alpha - 3.0 * alpha * alpha) * s ** 5 / (16.0 * d * d * R ** 6)
-           - 15.0 * alpha * s ** 7 / (8.0 * d * d * R ** 8)
-           + 45.0 * alpha * alpha * s ** 9 / (448.0 * d * d * R ** 10))
+    table, at_2r = _parabolic_tables(float(alpha))
+    out = eval_split_at_2r(table, at_2r, s, geometry.radius)
     return out if out.ndim else float(out)
 
 

@@ -1,5 +1,6 @@
 """Hyperspherical machinery, rotation operator, master formula, examples."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,14 +31,27 @@ from nballdist import (
     rotation_matrix,
     spherical_to_cartesian,
 )
+from nballdist._rng import CounterStream
 from nballdist.arbitrary import (
     _EX3_POLY,
+    _cap_heights,
+    _chunked_mean,
     _master_norm,
+    _master_unnormalized_mc,
     _master_unnormalized_quad,
     _quad_levels,
     angles_from_direction,
 )
-from nballdist.core import density_mass, density_radial_value
+from nballdist.core import (
+    _row_sumsq,
+    density_mass,
+    density_radial_value,
+    density_value,
+    log_gamma,
+    sphere_area,
+)
+from nballdist.montecarlo import _uniform_ball_points
+from nballdist.uniform import overlap_kernels
 
 
 def _random_angles(rng, n):
@@ -372,3 +386,94 @@ def test_master_mc_general_cartesian_matches_monomial():
         # same integrand stream: the difference is the estimated mass alone
         assert est.error > exact.error
         assert abs(est.value - exact.value) <= 3.0 * est.error
+
+
+# (2,2,2)@3 at tol 1e-6 and (4,4)@2 at tol 1e-8, at s = 0.2, 0.6, 1.0, 1.4, 1.8
+_MASTER_QUAD_PINS = {
+    (2, 2, 2): (0.20359265053989614, 0.24164882880897742, 0.6766195230550718,
+                0.9352467279477397, 0.5386938462039317),
+    (4, 4): (0.6527301900110274, 0.09767219036130409, 0.40025179655730614,
+             0.8477934509500619, 0.821057359378536),
+}
+
+
+@pytest.mark.parametrize("exponents,tol", [((2, 2, 2), 1e-6), ((4, 4), 1e-8)])
+def test_master_quadrature_values_pinned(exponents, tol):
+    g = BallGeometry(len(exponents), 1.0)
+    got = [pdf_master(g, CartesianMonomial(exponents), s, "quadrature", tol).value
+           for s in (0.2, 0.6, 1.0, 1.4, 1.8)]
+    assert tuple(got) == _MASTER_QUAD_PINS[exponents]
+
+
+def _master_mc_drawn_whole(geometry, density, s, samples, stream):
+    """The Monte Carlo master integrand with every chunk's k n normals, cap
+    heights and perpendicular points drawn whole, in stream order."""
+    n, R = geometry.dimension, geometry.radius
+    q, _ = overlap_kernels(geometry, s)
+    v_cap = math.pi ** ((n - 1) / 2.0) / math.exp(log_gamma((n + 1) / 2.0)) * q
+    scale = s ** (n - 1) * v_cap * sphere_area(n)
+
+    def draw(k):
+        u = stream.normals(k * n).reshape(k, n)
+        norm = np.sqrt(_row_sumsq(u))
+        norm[norm == 0.0] = 1.0
+        u /= norm[:, None]
+        v = np.eye(n)[-1] - u
+        vv = _row_sumsq(v)
+        vv[vv == 0.0] = 1.0
+        xn = _cap_heights(geometry, s, stream, k)
+        perp = _uniform_ball_points(BallGeometry(n - 1, 1.0), stream, k)
+        HX = np.empty((k, n))
+        np.multiply(perp, np.sqrt(R * R - xn * xn)[:, None], out=HX[:, :-1])
+        HX[:, -1] = xn
+        HX -= v * (2.0 * np.sum(HX * v, axis=1) / vv)[:, None]
+        u *= s
+        np.subtract(HX, u, out=u)
+        return density_value(density, HX, geometry) * density_value(density, u, geometry)
+    mean, err = _chunked_mean(samples, draw)
+    return scale * mean, scale * err
+
+
+@pytest.mark.parametrize("budget", [1001, 65537, 131072])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_master_mc_windows_match_the_whole_draw(n, budget):
+    # odd chunks (1001, and the last sample of 65537) are drawn whole; even
+    # chunks pair window by pair window, and the stream resumes where the
+    # whole draw would leave it
+    g = BallGeometry(n, 1.0)
+    d = CartesianMonomial((2,) + (0,) * (n - 2) + (2,))
+    for s in (0.3, 1.1):
+        got_stream, want_stream = CounterStream(5, 1), CounterStream(5, 1)
+        got = _master_unnormalized_mc(g, d, s, budget, got_stream)
+        assert got == _master_mc_drawn_whole(g, d, s, budget, want_stream)
+        assert got_stream.counter == want_stream.counter
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_master_mc_mass_windows_match_the_whole_draw(n):
+    g = BallGeometry(n, 1.0)
+    general = GeneralCartesian(lambda pts: 1.0 + pts[..., 0] ** 2, bound=2.0)
+    for budget in (1001, 65537, 131072):
+        stream = CounterStream(9, 2)
+        mean, err = _chunked_mean(budget, lambda k: density_value(
+            general, _uniform_ball_points(g, stream, k), g))
+        mass = density_mass(Uniform(), g) * mean
+        norm, rel = _master_norm(g, general, "montecarlo", budget, 9)
+        assert norm == mass * mass / 2.0
+        assert rel == 2.0 * density_mass(Uniform(), g) * err / abs(mass)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_master_mc_memory_is_bounded(n):
+    # at the default budget of 2e5 samples the whole draw held about eight
+    # 65536 x n temporaries: 6.8 MiB at n = 2, 14.8 MiB at n = 6
+    g = BallGeometry(n, 1.0)
+    d = CartesianMonomial((2,) + (0,) * (n - 1))
+    pdf_master(g, d, 0.7, "montecarlo", 1001)
+    tracemalloc.start()
+    try:
+        pdf_master(g, d, 0.7, "montecarlo", 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20

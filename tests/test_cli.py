@@ -1,8 +1,10 @@
 """CLI behavior: outputs, exit codes, manifests, determinism."""
 import csv
+import io
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -242,6 +244,90 @@ def test_pdf_and_compare_evaluate_in_one_call_each(tmp_path, monkeypatch):
                "--bins", "32", "--seed", "42", "-o", "c") == 0
     # bin-mass nodes (bins x 20 Gauss-Legendre points), then the CSV midpoints
     assert calls == [(32, 20), (32,)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("-n", "3", "--density", "uniform"),
+    ("-n", "1100", "--density", "uniform"),
+    ("-n", "3", "-R", "3", "--density", "uniform"),
+    ("-n", "4", "--density", "uniform", "--representation", "even_series"),
+    ("-n", "3", "-R", "8", "--density", "gauss:1"),
+    ("-n", "3", "--density", "shells:0.25,0.5,0.75,1;1,2,3,4"),
+    ("-n", "5", "--density", "shells:0.5,1;1,2"),
+    ("-n", "3", "--density", "parabolic:0.5"),
+    ("-n", "3", "--density", "radial-poly:0,0,1"),
+    ("-n", "2", "--density", "monomial:4,4"),
+    ("-n", "3", "--density", "monomial:2,2,2"),
+    ("-n", "4", "--density", "monomial:4,0,0,0"),
+])
+def test_pdf_blocks_match_one_whole_evaluation(tmp_path, argv):
+    from nballdist import cli
+    opts = dict(zip(argv[::2], argv[1::2]))
+    geometry = BallGeometry(int(opts["-n"]), float(opts.get("-R", 1.0)))
+    evaluator = resolve_evaluator(geometry, parse_density(opts["--density"]),
+                                  opts.get("--representation"))
+    for grid_len in (1, cli._PDF_BLOCK - 1, cli._PDF_BLOCK, cli._PDF_BLOCK + 1):
+        assert run(tmp_path, "pdf", *argv, "--grid", str(grid_len), "-o", "p.csv") == 0
+        grid = np.linspace(0.0, geometry.diameter, grid_len)
+        want = io.StringIO()
+        want.write("s,analytic_density\n")
+        cli._write_rows(want, grid, evaluator(grid))
+        with open(tmp_path / "p.csv", newline="") as fh:
+            assert fh.read() == want.getvalue(), grid_len
+
+
+def test_pdf_evaluates_block_by_block(tmp_path, monkeypatch):
+    import nballdist.cli as cli
+    calls = []
+    resolve = cli.resolve_evaluator
+
+    def counting(*args, **kwargs):
+        evaluator = resolve(*args, **kwargs)
+
+        def wrapped(s):
+            calls.append(np.shape(s))
+            return evaluator(s)
+        return wrapped
+    monkeypatch.setattr(cli, "resolve_evaluator", counting)
+    assert run(tmp_path, "pdf", "-n", "3", "--density", "uniform",
+               "--grid", str(2 * cli._PDF_BLOCK + 5), "-o", "u.csv") == 0
+    assert calls == [(cli._PDF_BLOCK,), (cli._PDF_BLOCK,), (5,)]
+
+
+def test_pdf_failing_part_way_leaves_no_partial_csv(tmp_path, monkeypatch):
+    import nballdist.cli as cli
+    resolve = cli.resolve_evaluator
+
+    def failing_late(*args, **kwargs):
+        evaluator = resolve(*args, **kwargs)
+
+        def wrapped(s):
+            if s[0] > 0.0:
+                raise DomainError("fails on the second block")
+            return evaluator(s)
+        return wrapped
+    (tmp_path / "u.csv").write_text("older\n")
+    monkeypatch.setattr(cli, "resolve_evaluator", failing_late)
+    assert run(tmp_path, "pdf", "-n", "3", "--density", "uniform",
+               "--grid", str(cli._PDF_BLOCK + 1), "-o", "u.csv") == 3
+    assert sorted(os.listdir(tmp_path)) == ["u.csv"]
+    assert (tmp_path / "u.csv").read_text() == "older\n"
+
+
+def test_pdf_memory_is_the_grid_plus_one_block(tmp_path):
+    # the whole-grid evaluation held about eight grid-sized arrays: 25 MiB
+    # here, against 3.05 MiB of grid
+    grid_len = 400_001
+    assert run(tmp_path, "pdf", "-n", "50", "--density", "uniform", "--grid", "11",
+               "-o", "warm.csv") == 0
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "pdf", "-n", "50", "--density", "uniform",
+                   "--grid", str(grid_len), "-o", "big.csv") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * grid_len + 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

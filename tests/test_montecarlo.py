@@ -336,6 +336,16 @@ def test_row_sumsq_matches_np_sum(n):
     assert np.array_equal(_row_sumsq(z), np.sum(z * z, axis=1))
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_core_row_sumsq_matches_np_sum_on_every_shape(n):
+    from nballdist.core import _row_sumsq
+    rng = np.random.default_rng(100 + n)
+    for shape in ((997, n), (n,), (7, 11, n)):
+        z = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+        got, want = _row_sumsq(z), np.sum(z * z, axis=-1)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want), shape
+
+
 def test_pair_histogram_matches_one_shot_histogram():
     from nballdist.montecarlo import _rows_per_block, pair_histogram
     edges = np.linspace(0.0, 2.0, 65)

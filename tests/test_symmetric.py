@@ -82,6 +82,32 @@ def test_parabolic_domain():
         pdf_radial_parabolic(G3, 1.2, 0.5)
 
 
+def _parabolic_mpmath(alpha, R, s):
+    """The printed parabolic form at 60 digits, at the float inputs."""
+    with mp.workdps(60):
+        a, R, s = mp.mpf(alpha), mp.mpf(R), mp.mpf(s)
+        d = 5 - 3 * a
+        return (15 * (35 - 42 * a + 15 * a * a) * s ** 2 / (7 * d * d * R ** 3)
+                - 225 * (1 - a) ** 2 * s ** 3 / (4 * d * d * R ** 4)
+                - 15 * a * s ** 4 / (d * R ** 5)
+                + 75 * (1 + 6 * a - 3 * a * a) * s ** 5 / (16 * d * d * R ** 6)
+                - 15 * a * s ** 7 / (8 * d * d * R ** 8)
+                + 45 * a * a * s ** 9 / (448 * d * d * R ** 10))
+
+
+@pytest.mark.parametrize("R", [1.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+def test_parabolic_against_mpmath_up_to_2r(alpha, R):
+    # in powers of s, alpha = 1 was off by a factor of 20 at s = 1.9999R
+    g = BallGeometry(3, R)
+    grid = R * np.array([0.5, 1.2, 1.5, 1.99, 1.9999, 1.999999])
+    got = pdf_radial_parabolic(g, alpha, grid)
+    for s, value in zip(grid, got):
+        want = float(_parabolic_mpmath(alpha, R, float(s)))
+        assert value == pytest.approx(want, rel=1e-13, abs=0.0), (alpha, R, s)
+        assert pdf_radial_parabolic(g, alpha, float(s)) == value
+
+
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
 def test_parabolic_normalized(alpha):
     total, _ = quad(lambda s: pdf_radial_parabolic(G3, alpha, s), 0.0, 2.0,
