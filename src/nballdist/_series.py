@@ -25,8 +25,12 @@ def reexpand_at_2r(table: dict) -> np.ndarray:
 
 
 def poly_eval(table: dict, s, R: float):
-    """sum_k c_k s^k / R^(k+1), ``table`` mapping k to c_k."""
-    return sum(float(c) * s ** k / R ** (k + 1) for k, c in table.items())
+    """sum_k c_k s^k / R^(k+1), ``table`` mapping k to c_k, summed in s/R,
+    so that no power of R leaves the double range."""
+    t = s / R
+    # np.power, not **: a 0-d s makes t a numpy scalar, whose ** rounds
+    # differently from an array's
+    return sum(float(c) * np.power(t, k) for k, c in table.items()) / R
 
 
 def eval_split_at_2r(table: dict, at_2r: np.ndarray, s, R: float):

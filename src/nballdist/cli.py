@@ -105,8 +105,8 @@ class _UsageError(Exception):
 
 def _pointwise(scalar_route):
     """Array callable over a route that takes one float s at a time: the
-    numeric radial quadrature, the n = 2 master quadrature and the forced
-    uniform representations. A float in gives a float out."""
+    n = 2 master quadrature and the forced uniform representations. A float
+    in gives a float out."""
     def evaluate(s):
         s = np.asarray(s, dtype=float)
         out = np.array([scalar_route(v) for v in s.ravel().tolist()], dtype=float)
@@ -134,7 +134,7 @@ def resolve_evaluator(geometry: BallGeometry, density, representation=None):
     if isinstance(density, MultiShell):
         return lambda s: symmetric.pdf_multishell(geometry, density, s)
     if isinstance(density, (RadialPolynomial, ParabolicRadial)):
-        return _pointwise(lambda s: symmetric.pdf_radial_numeric(geometry, density, s))
+        return lambda s: symmetric.pdf_radial_numeric(geometry, density, s)
     if isinstance(density, CartesianMonomial):
         exps = density.exponents
         if n == 2 and exps == (4, 4):

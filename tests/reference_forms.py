@@ -5,10 +5,11 @@ expressions (uniform-ball PDFs for n = 2 and 4, the equal-thickness
 2/3/4-shell region tables, and the hyperspherical cap volume behind the
 shell PDF in any dimension), evaluated in exact rational arithmetic where
 the comparison demands it. The shell PDF also has a second, independent
-oracle: nested adaptive quadrature of the overlap integral. The random
-number stream has a one-shot oracle: ``OneShotStream`` draws words, uniforms
-and normals in single whole-array passes, the form the blocked
-``CounterStream`` must reproduce bit for bit. On top of it, the direct
+oracle: nested adaptive quadrature of the overlap integral, and so do
+smooth radial profiles, whose slice integral the package takes in closed
+form. The random number stream has a one-shot oracle: ``OneShotStream``
+draws words, uniforms and normals in single whole-array passes, the form
+the blocked ``CounterStream`` must reproduce bit for bit. On top of it, the direct
 samplers (uniform ball, Gaussian, shells) are written as whole-batch draws,
 the form every pair window of ``sample_density`` must reproduce bit for bit.
 
@@ -188,11 +189,8 @@ def _cap_volume(n: int, r: float, h: float) -> float:
 
 def _overlap_volume(n: int, a: float, b: float, s: float) -> float:
     """Volume of B_a(0) and B_b(s e) together: two caps cut by the radical
-    hyperplane at distance d = (s^2 + a^2 - b^2)/2s from the first centre.
-    At n = 1 it is the exact length of [-a, a] and [s - b, s + b] together,
-    which the difference of caps would leave as rounding noise."""
-    if n == 1:
-        return max(0.0, min(a, s + b) - max(-a, s - b))
+    hyperplane at distance d = (s^2 + a^2 - b^2)/2s from the first centre,
+    for n >= 2."""
     if s == 0.0:
         return _ball_volume(n, min(a, b))
     d = (s * s + a * a - b * b) / (2.0 * s)
@@ -205,7 +203,21 @@ def shells_cap_pdf(n: int, radii, densities, s: float) -> float:
     With c_i = rho_i - rho_{i+1}, rho is the sum of the uniform balls
     c_i 1[r <= r_i], so
     P(s) = |S^(n-1)| s^(n-1) sum_ij c_i c_j V(r_i, r_j; s) / (sum_i c_i |B_{r_i}|)^2.
+
+    At n = 1, V is the length of [-a, a] and [s - b, s + b] together, and
+    the lengths are summed in exact rationals: for a thin shell the sum
+    cancels to far below its float rounding, which the small squared mass
+    then magnifies.
     """
+    if n == 1:
+        radii = [F(r) for r in radii]
+        dens = [F(d) for d in densities] + [F(0)]
+        c = [dens[i] - dens[i + 1] for i in range(len(radii))]
+        s = F(s)
+        overlap = sum(ci * cj * max(F(0), min(a, s + b) - max(-a, s - b))
+                      for ci, a in zip(c, radii) for cj, b in zip(c, radii))
+        mass = sum(ci * 2 * r for ci, r in zip(c, radii))
+        return float(2 * overlap / mass ** 2)
     radii = [float(r) for r in radii]
     dens = [float(d) for d in densities] + [0.0]
     c = [dens[i] - dens[i + 1] for i in range(len(radii))]
@@ -280,6 +292,63 @@ def shells_quadpack_pdf(n: int, radii, densities, s: float, epsabs: float = 1e-1
     if n > 1:
         val *= s ** (n - 1) * 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
     return val / (mass * mass / (2.0 * area))
+
+
+def radial_nested_pdf(n: int, R: float, coefficients, s: float, tol: float = 1e-8) -> float:
+    """P_n(s) for rho(r) = sum_k c_k r^k on the ball of radius R by nested
+    QUADPACK, the arithmetic of ``pdf_radial_numeric`` for every smooth
+    profile before the slice integral had a closed form, kept bit for bit.
+
+    The outer integral runs over the slice height x in [s/2, R], mapped by
+    x = s/2 + h (1 - cos pi v); the inner one over the radius t of the
+    perpendicular (n-1)-ball, weighted by t^(n-2) |S^(n-2)|. The curve is
+    divided by (Int_B rho)^2 / (2 |S^(n-1)|), all factors in log space.
+    """
+    coeffs = tuple(reversed([float(c) for c in coefficients]))
+
+    def rho(r):
+        if r > R:
+            return 0.0
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * r + c
+        return acc
+
+    def log_sphere_area(k):
+        return math.log(2.0) + k / 2.0 * math.log(math.pi) - math.lgamma(k / 2.0)
+
+    moment = sum(c * R ** k / (n + k) for k, c in enumerate(coefficients))
+    log_mass = log_sphere_area(n) + n * math.log(R) + math.log(abs(moment))
+    log_scale = -(2.0 * log_mass - math.log(2.0) - log_sphere_area(n))
+    epsabs = tol * 1e-2
+    if s >= 2.0 * R:
+        return 0.0
+    if n == 1:
+        log_factor = log_scale
+    elif s == 0.0:
+        return 0.0
+    else:
+        log_factor = (log_scale + (n - 1) * math.log(s) + math.log(2.0)
+                      + (n - 1) / 2.0 * math.log(math.pi) - math.lgamma((n - 1) / 2.0))
+    factor = math.exp(log_factor)
+    epsabs /= max(factor, 1.0)
+    lo, h = s / 2.0, (R - s / 2.0) / 2.0
+
+    if n == 1:
+        def slice_integral(x):
+            return rho(x) * rho(abs(x - s))
+    else:
+        def slice_integral(x):
+            tmax = math.sqrt(max(R * R - x * x, 0.0))
+            return quad(lambda t: t ** (n - 2) * rho(math.hypot(x, t)) * rho(math.hypot(x - s, t)),
+                        0.0, tmax, epsabs=epsabs, limit=200)[0]
+
+    def outer(v):
+        u = math.pi * v
+        return slice_integral(lo + h * (1.0 - math.cos(u))) * h * math.pi * math.sin(u)
+
+    val, _ = quad(outer, 0.0, 1.0, epsabs=30.0 * epsabs, limit=200)
+    return factor * val
 
 
 # ---------------------------------------------------------------------------

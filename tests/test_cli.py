@@ -178,6 +178,17 @@ def test_pdf_parabolic_other_dimension_uses_numeric_route(tmp_path):
     assert float(rows[2][1]) == pytest.approx(want, abs=1e-6)
 
 
+def test_pdf_parabolic_very_large_dimension(tmp_path):
+    # the slice factor (R^2 - x^2)^((n-1)/2) made this exit 3 ("radial PDF
+    # leaves the double range") before it was taken relative to the widest slice
+    assert run(tmp_path, "pdf", "-n", "3000", "--density", "parabolic:0.5",
+               "--grid", "5", "-o", "p3000.csv") == 0
+    _, rows = read_csv(tmp_path / "p3000.csv")
+    values = [float(v) for _, v in rows]
+    assert values[0] == values[-1] == 0.0
+    assert all(v >= 0.0 and math.isfinite(v) for v in values) and values[3] > 1e-12
+
+
 def test_resolve_evaluator_routes():
     g2 = BallGeometry(2, 1.0)
     ev = resolve_evaluator(g2, CartesianMonomial((4, 4)))

@@ -180,6 +180,96 @@ def test_numeric_radial_large_dimension_parabolic_peak():
     assert np.sum(p[1:] + p[:-1]) / 2.0 * (s[1] - s[0]) == pytest.approx(1.0, abs=1e-4)
 
 
+# rho(r) = sum_k c_k r^k for the oracle; the parabolic profile 1 - alpha r^2/R^2
+R2_PROFILES = [(f"parabolic:{a}", lambda R, a=a: ParabolicRadial(a), lambda R, a=a: (1.0, 0.0, -a / R ** 2))
+               for a in (0.0, 0.3, 0.5, 1.0)] + [
+    (f"radial-poly:{c}", lambda R, c=c: RadialPolynomial(c), lambda R, c=c: c)
+    for c in ((1.0, 0.0, -1.0), (2.0, 0.0, 1.0, 0.0, -1.0))]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("R", [1.0, 3.0])
+def test_exact_slice_matches_nested_quadrature(n, R):
+    # the closed-form slice integral against the nested QUADPACK it replaced
+    g = BallGeometry(n, R)
+    s = np.linspace(0.0, 2.0 * R, 25)[1:-1]
+    for name, density, coefficients in R2_PROFILES:
+        got = pdf_radial_numeric(g, density(R), s)
+        want = np.array([ref.radial_nested_pdf(n, R, coefficients(R), float(v)) for v in s])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want), name
+        assert pdf_radial_numeric(g, density(R), float(s[7])) == got[7]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("R", [1.0, 3.0])
+def test_odd_power_profile_keeps_nested_quadrature_bit_for_bit(n, R):
+    g = BallGeometry(n, R)
+    s = np.linspace(0.0, 2.0 * R, 12)
+    got = pdf_radial_numeric(g, RadialPolynomial((1.0, 1.0)), s)
+    want = [ref.radial_nested_pdf(n, R, (1.0, 1.0), float(v)) for v in s]
+    assert got.tolist() == want
+
+
+def test_exact_slice_takes_one_quadrature_per_point(monkeypatch):
+    from nballdist import symmetric
+    calls = []
+    real = symmetric.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(symmetric, "quad", counting)
+    s = np.linspace(0.0, 2.0, 13)  # the two ends need no integral
+    for density in (Uniform(), ParabolicRadial(0.5), RadialPolynomial((2.0, 0.0, 1.0, 0.0, -1.0))):
+        calls.clear()
+        pdf_radial_numeric(BallGeometry(4, 1.0), density, s)
+        assert calls == [(0.0, 1.0)] * 11
+    calls.clear()
+    pdf_radial_numeric(BallGeometry(4, 1.0), RadialPolynomial((1.0, 1.0)), s)
+    assert len(calls) > 11 * 21  # one inner integral per outer node
+
+
+def test_numeric_radial_array_in_array_out():
+    g = BallGeometry(4, 1.5)
+    grid = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+    values = pdf_radial_numeric(g, ParabolicRadial(0.5), grid)
+    assert values.shape == (3, 4)
+    got = pdf_radial_numeric(g, ParabolicRadial(0.5), 1.25)
+    assert isinstance(got, float)
+    assert got == pdf_radial_numeric(g, ParabolicRadial(0.5), np.array([1.25]))[0]
+    with pytest.raises(DomainError):
+        pdf_radial_numeric(g, ParabolicRadial(0.5), np.array([1.0, 3.5]))
+
+
+def test_exact_slice_large_dimension_tails_match_uniform():
+    # the slice factor T^(n-1) is taken relative to the widest slice's, in
+    # log space: the nested route met only its absolute tolerance here, off
+    # by up to 2.9e-4 relative at n = 300, 0 at n = 400, s = 1.99R, and a
+    # PrecisionError at n = 3000
+    g = BallGeometry(300, 1.0)
+    s = np.linspace(0.05, 1.95, 39)
+    got, want = pdf_radial_numeric(g, ParabolicRadial(0.0), s), pdf_uniform(g, s)
+    inside = want > 0.0
+    assert np.max(np.abs(got[inside] / want[inside] - 1.0)) < 1e-11
+    for n, t in ((400, 1.99), (3000, 1.4)):
+        g = BallGeometry(n, 2.0)
+        want = pdf_uniform(g, 2.0 * t)
+        assert want > 1e-290
+        assert pdf_radial_numeric(g, ParabolicRadial(0.0), 2.0 * t) == pytest.approx(
+            want, rel=1e-11, abs=0.0), n
+
+
+@pytest.mark.parametrize("n", [4, 40])
+@pytest.mark.parametrize("R", [1e-150, 1e150])
+def test_exact_slice_at_extreme_radii(n, R):
+    # P_R(R t) R = P_1(t); the nested route raised PrecisionError at the small
+    # radius and gave nan or OverflowError at the large one
+    t = np.array([0.1, 0.7, 1.0, 1.5, 1.95])
+    got = pdf_radial_numeric(BallGeometry(n, R), ParabolicRadial(0.5), R * t) * R
+    want = pdf_radial_numeric(BallGeometry(n, 1.0), ParabolicRadial(0.5), t)
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+
 def test_numeric_rejects_bad_input():
     with pytest.raises(InvalidDensityError):
         pdf_radial_numeric(G3, __import__("nballdist").CartesianMonomial((2, 2, 2)), 0.5)
@@ -271,8 +361,10 @@ def test_shells_large_dimension_against_mpmath(n, ts, R):
        radii=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5, unique=True),
        dens=st.lists(st.integers(0, 9), min_size=5, max_size=5).filter(any),
        s=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8))
-# a thin 1-D shell: no two of its points are 1 apart, and the cap volumes cancel
+# thin 1-D shells: no two of their points are 1 or 0.5 apart, and the cap
+# volumes cancel
 @example(n=1, radii=[0.998046875, 1.0], dens=[0, 1, 0, 0, 0], s=[1.0])
+@example(n=1, radii=[0.99999, 1.0], dens=[0, 1, 0, 0, 0], s=[0.5])
 def test_shells_random_sets_match_cap_volume_oracle(n, radii, dens, s):
     radii = sorted(radii)
     dens = dens[:len(radii)]

@@ -94,8 +94,8 @@ def _pdf_uniform_mpmath(n, s, radius=1.0):
 
 
 # R = 0.7 and 3 are not powers of two, so s/2R rounds before 1 - s/2R is formed
-@pytest.mark.parametrize("n,R", [pytest.param(n, 1.0, id=str(n)) for n in (1, 2, 3, 7, 50, 200)]
-                         + [(3, 0.7), (3, 3.0), (100, 0.7), (100, 3.0)])
+@pytest.mark.parametrize("n,R", [pytest.param(n, 1.0, id=str(n)) for n in (1, 2, 3, 5, 7, 9, 50, 200)]
+                         + [(3, 0.7), (3, 3.0), (5, 3.0), (9, 3.0), (100, 0.7), (100, 3.0)])
 def test_pdf_uniform_against_mpmath(n, R):
     g = BallGeometry(n, R)
     grid = R * np.array([1e-8, 1e-6, 1e-3, 0.3, 1.0, 1.7, 1.99, 1.9999, 1.999999])
@@ -114,6 +114,31 @@ def test_pdf_uniform_against_mpmath(n, R):
                 x = 1 - (mp.mpf(float(s)) / (2 * mp.mpf(R))) ** 2
                 q = mp.mpf(R) ** n / 2 * mp.betainc(mp.mpf(n + 1) / 2, 0.5, 0, x)
             assert overlap_kernels(g, float(s))[0] == pytest.approx(float(q), rel=1e-12, abs=0.0), (n, s)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("R", [1.0, 3.0])
+def test_odd_series_near_2r_against_mpmath(n, R):
+    # summed in powers of s the series was 2.1e-8 off at n = 3, s = 1.9999R;
+    # above 1.4R it is summed in powers of 2R - s
+    g = BallGeometry(n, R)
+    for t in (1e-6, 0.3, 1.0, 1.39, 1.41, 1.7, 1.99, 1.9999, 1.999999):
+        s = t * R
+        want = float(_pdf_uniform_mpmath(n, s, R))
+        got = pdf_uniform_repr(g, s, Representation.ODD_SERIES)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), (n, R, t)
+
+
+@pytest.mark.parametrize("R", [1e-20, 1e20])
+def test_odd_polynomial_at_extreme_radii(R):
+    # the n = 9 polynomial has degree 17, and R^18 leaves the double range at
+    # these radii: it is summed in s/R
+    g = BallGeometry(9, R)
+    grid = R * np.array([0.0, 1e-3, 0.5, 1.0, 1.5, 1.9999, 2.0])
+    got = pdf_uniform(g, grid)
+    want = pdf_uniform_repr(g, float(grid[3]), Representation.REG_INC_BETA)
+    assert np.all(np.isfinite(got)) and got[0] == 0.0 and got[-1] == 0.0
+    assert got[3] == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 50, 200])
