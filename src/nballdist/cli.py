@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _csvfmt
 from . import applications as apps
 from . import arbitrary, montecarlo, symmetric, uniform
 from .core import (
@@ -52,28 +52,19 @@ from .montecarlo import SamplerConfig, merge_histograms
 _STREAMS = 16  # fixed substream fan-out so thread count never changes results
 
 
-# Rows formatted per string. Larger chunks write no faster but hold more
-# float objects at once: 4096 rows raised the peak resident memory of a
-# 50001-row grid by 0.4-0.9 MB, and 512 rows that of the pdf benchmark by
-# about 0.2 MB; 128 rows raise neither.
-_CSV_CHUNK = 128
-
-
-# Grid points per evaluator call of ``pdf``. Every evaluator is elementwise
-# in s, so the block size changes no output bit; it bounds the evaluators'
-# grid-sized temporaries to 4096 points.
-_PDF_BLOCK = 32 * _CSV_CHUNK
+# Grid points per evaluator call of ``pdf``, and rows per write. Every
+# evaluator is elementwise in s, so the block size changes no output bit; it
+# bounds the evaluators' grid-sized temporaries to 4096 points.
+_PDF_BLOCK = 4096
 
 
 def _write_rows(fh, *columns) -> None:
     """Comma-separated lines of %.17g floats, row i holding element i of
-    each column, one format call per chunk of rows. An integer count below
-    10^17 prints as its digits, as ``str(int(c))`` does."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    for lo in range(0, len(columns[0]), _CSV_CHUNK):
-        flat = np.column_stack([c[lo:lo + _CSV_CHUNK] for c in columns]).ravel()
-        fh.write(line * (len(flat) // len(columns)) % tuple(flat.tolist()))
+    each column, formatted by the array kernel of ``_csvfmt`` a block of
+    rows at a time. An integer count below 10^17 prints as its digits, as
+    ``str(int(c))`` does."""
+    for lo in range(0, len(columns[0]), _PDF_BLOCK):
+        fh.write(_csvfmt.csv_rows([c[lo:lo + _PDF_BLOCK] for c in columns]))
 
 
 def parse_density(spec: str):

@@ -67,10 +67,9 @@ def test_parse_density_errors_exit_2(tmp_path):
     ("-n", "3", "--density", "shells:0.5,1.0;1,2"),
 ])
 def test_pdf_csv_matches_the_row_by_row_writer(tmp_path, argv):
-    # a grid of 2 chunks + 3 rows holding s = 0; at R = 8 the Gaussian tail
-    # runs down to about 1e-26, in exponent notation
-    from nballdist import cli
-    grid_len = 2 * cli._CSV_CHUNK + 3
+    # a grid holding s = 0; at R = 8 the Gaussian tail runs down to about
+    # 1e-26, in exponent notation
+    grid_len = 259
     assert run(tmp_path, "pdf", *argv, "--grid", str(grid_len), "-o", "p.csv") == 0
     n, R = int(argv[1]), float(argv[3]) if argv[2] == "-R" else 1.0
     geometry = BallGeometry(n, R)
@@ -84,9 +83,9 @@ def test_pdf_csv_matches_the_row_by_row_writer(tmp_path, argv):
 
 @pytest.mark.parametrize("density", ["uniform", "shells:0.5,1.0;1,2"])
 def test_compare_csv_matches_the_row_by_row_writer(tmp_path, density):
-    # 2 chunks + 3 bins; the counts print as integers, as str(int(c)) does
+    # the counts print as integers, as str(int(c)) does
     from nballdist import cli
-    bins = 2 * cli._CSV_CHUNK + 3
+    bins = 259
     assert run(tmp_path, "compare", "-n", "3", "--density", density, "--pairs", "20000",
                "--bins", str(bins), "--seed", "5", "--threshold", "0", "-o", "c.csv") == 0
     geometry = BallGeometry(3, 1.0)
