@@ -14,10 +14,10 @@ White 1990 and of Ryu printf, Adams 2019):
   ``_MARGIN`` of a half-integer (a near-tie), or d was off by one, which
   shows as N outside (10^16, 10^17).
 * N becomes ASCII through a table of 4-digit groups. Each value gets a
-  45-byte field in one fixed layout for every exponent: sign, the "0.000"
+  48-byte field in one fixed layout for every exponent: sign, the "0.000"
   prefix of fixed notation below 1, the 17 digits with a decimal point slot
   after each, and the exponent suffix. Unused slots and trailing zeros of
-  the fraction hold zero bytes, and one compress of the buffer removes them.
+  the fraction hold zero bytes, and one pass over the buffer removes them.
 
 Zero, subnormals, inf, nan, |v| outside [1e-280, 1e281), near-ties and
 wrong estimates of d take the fallback, so every byte written is that of

@@ -13,15 +13,20 @@ from fractions import Fraction
 import numpy as np
 
 
-def reexpand_at_2r(table: dict) -> np.ndarray:
+def reexpand(table: dict, at) -> np.ndarray:
     """Coefficients d_j, lowest power first, of the polynomial
-    sum_k c_k t^k (``table`` maps k to a Fraction c_k, t = s/R) in
-    u = 2 - s/R, summed exactly before rounding to floats."""
+    sum_k c_k t^k (``table`` maps k to a Fraction c_k) in u = at - t,
+    summed exactly before rounding to floats."""
     out = [Fraction(0)] * (max(table) + 1)
     for k, c in table.items():
         for j in range(k + 1):
-            out[j] += c * math.comb(k, j) * 2 ** (k - j) * (-1) ** j
+            out[j] += c * math.comb(k, j) * at ** (k - j) * (-1) ** j
     return np.array([float(d) for d in out])
+
+
+def reexpand_at_2r(table: dict) -> np.ndarray:
+    """``reexpand`` about t = s/R = 2: the coefficients in u = 2 - s/R."""
+    return reexpand(table, 2)
 
 
 def poly_eval(table: dict, s, R: float):

@@ -32,6 +32,7 @@ from .core import (
     UnsupportedError,
     beta,
     inc_gamma_upper,
+    log_beta,
     log_gamma,
 )
 
@@ -89,10 +90,43 @@ class SelfEnergySpec:
         return self.count * (self.count - 1) / 2.0
 
 
+_LOG_TINY, _LOG_HUGE = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+
+
+def _in_range(direct, log_value, what: str) -> float:
+    """``direct()`` where it is a finite, nonzero double; where it overflows
+    or underflows, the positive value exp(``log_value()``), or
+    PrecisionError if that lies outside the normal double range."""
+    try:
+        value = direct()
+    except OverflowError:
+        value = math.inf
+    if 0.0 < value < math.inf:
+        return value
+    log_v = log_value()
+    if not (_LOG_TINY < log_v < _LOG_HUGE):
+        raise PrecisionError(f"{what} lies outside the double range")
+    return math.exp(log_v)
+
+
+def _energy(compute, coupling: float, what: str) -> float:
+    """``compute()``, or PrecisionError where it overflows, or underflows to
+    zero although ``coupling`` is not zero (an OverflowError or
+    ZeroDivisionError on the way counts as leaving the range)."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value) or (value == 0.0 and coupling != 0.0):
+        raise PrecisionError(f"{what} lies outside the double range")
+    return value
+
+
 def moment_uniform(geometry: BallGeometry, m: int) -> float:
     """<s^m> for the uniform ball:
     2^(n+m) (n/(n+m)) B((n+1)/2, (n+1+m)/2) / B((n+1)/2, 1/2) R^m,
-    valid for integer m >= -(n-1)."""
+    valid for integer m >= -(n-1); formed in log space where that product
+    leaves the double range, and PrecisionError where the value does."""
     n, R = geometry.dimension, geometry.radius
     if m < -(n - 1):
         raise DivergentMomentError(
@@ -100,7 +134,11 @@ def moment_uniform(geometry: BallGeometry, m: int) -> float:
     if m == 0:
         return 1.0
     p = (n + 1) / 2.0
-    return (2.0 ** (n + m) * (n / (n + m)) * beta(p, p + m / 2.0) / beta(p, 0.5) * R ** m)
+    return _in_range(
+        lambda: 2.0 ** (n + m) * (n / (n + m)) * beta(p, p + m / 2.0) / beta(p, 0.5) * R ** m,
+        lambda: ((n + m) * math.log(2.0) + math.log(n / (n + m)) + log_beta(p, p + m / 2.0)
+                 - log_beta(p, 0.5) + m * math.log(R)),
+        f"<s^{m}> for the uniform {n}-ball of radius {R!r}")
 
 
 def moment_uniform_gamma_forms(geometry: BallGeometry, m: int) -> tuple:
@@ -118,16 +156,20 @@ def moment_uniform_gamma_forms(geometry: BallGeometry, m: int) -> tuple:
 
 
 def moment_gaussian(n: int, sigma: float, m: int) -> float:
-    """<s^m> for the Gaussian cloud: (2 sigma)^m Gamma((n+m)/2) / Gamma(n/2)."""
+    """<s^m> for the Gaussian cloud: (2 sigma)^m Gamma((n+m)/2) / Gamma(n/2),
+    formed in log space where that product leaves the double range, and
+    PrecisionError where the value does."""
     if n + m <= 0:
         raise DivergentMomentError(f"<s^{m}> diverges for the Gaussian in n={n} (needs n+m > 0)")
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
-    return (2.0 * sigma) ** m * math.exp(log_gamma((n + m) / 2.0) - log_gamma(n / 2.0))
+    if not (0.0 < sigma < math.inf):
+        raise DomainError("sigma must be positive and finite")
+    log_ratio = log_gamma((n + m) / 2.0) - log_gamma(n / 2.0)
+    return _in_range(lambda: (2.0 * sigma) ** m * math.exp(log_ratio),
+                     lambda: m * math.log(2.0 * sigma) + log_ratio,
+                     f"<s^{m}> for the Gaussian of sigma {sigma!r} in n={n}")
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
-_LOG_TINY, _LOG_HUGE = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 
 
 def _log_hardcore_integral(n: int, R: float, r_c: float, k: int) -> float:
@@ -205,14 +247,16 @@ def coulomb_pair_energy(geometry: BallGeometry, q2: float = 1.0) -> float:
     n, R = geometry.dimension, geometry.radius
     if n < 3:
         raise UnsupportedError("the 1/s^(n-2) pair potential needs n >= 3")
-    return q2 * 2.0 * n / ((n + 2.0) * R ** (n - 2))
+    return _energy(lambda: q2 * 2.0 * n / ((n + 2.0) * R ** (n - 2)), q2,
+                   f"the Coulomb pair energy in the {n}-ball of radius {R!r}")
 
 
 def coulomb_self_energy(spec: SelfEnergySpec) -> float:
     """Total W = N(N-1)/2 * U_n = n/(n+2) N(N-1) q^2 / R^(n-2)."""
     if spec.geometry is None:
         raise DomainError("coulomb_self_energy needs a ball geometry")
-    return spec.pair_count * coulomb_pair_energy(spec.geometry, spec.coupling)
+    u = coulomb_pair_energy(spec.geometry, spec.coupling)
+    return _energy(lambda: spec.pair_count * u, u, "the Coulomb self-energy")
 
 
 def coulomb_gaussian_pair_energy(n: int, sigma: float, q2: float = 1.0) -> float:
@@ -220,14 +264,16 @@ def coulomb_gaussian_pair_energy(n: int, sigma: float, q2: float = 1.0) -> float
     q^2 <1/s^(n-2)> = q^2 / (2^(n-2) Gamma(n/2) sigma^(n-2))."""
     if n < 3:
         raise UnsupportedError("the 1/s^(n-2) pair potential needs n >= 3")
-    return q2 * moment_gaussian(n, sigma, -(n - 2))
+    moment = moment_gaussian(n, sigma, -(n - 2))
+    return _energy(lambda: q2 * moment, q2, "the Gaussian Coulomb pair energy")
 
 
 def coulomb_gaussian_self_energy(spec: SelfEnergySpec, n: int = None) -> float:
     if spec.sigma is None:
         raise DomainError("coulomb_gaussian_self_energy needs sigma")
     dim = n if n is not None else (spec.geometry.dimension if spec.geometry else 3)
-    return spec.pair_count * coulomb_gaussian_pair_energy(dim, spec.sigma, spec.coupling)
+    u = coulomb_gaussian_pair_energy(dim, spec.sigma, spec.coupling)
+    return _energy(lambda: spec.pair_count * u, u, "the Gaussian Coulomb self-energy")
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +296,12 @@ def neutrino_self_energy_uniform(radius: float, r_c: float, count: int,
     if count < 2:
         raise DomainError("need at least two particles")
     R = radius
-    bracket = (3.0 / (2.0 * r_c ** 2 * R ** 3) - 9.0 / (4.0 * r_c * R ** 4)
-               + 9.0 / (8.0 * R ** 5) - 3.0 * r_c / (16.0 * R ** 6))
-    return count * (count - 1) / 2.0 * bracket * a2 * g_f2 / (4.0 * math.pi ** 3)
+
+    def energy():
+        bracket = (3.0 / (2.0 * r_c ** 2 * R ** 3) - 9.0 / (4.0 * r_c * R ** 4)
+                   + 9.0 / (8.0 * R ** 5) - 3.0 * r_c / (16.0 * R ** 6))
+        return count * (count - 1) / 2.0 * bracket * a2 * g_f2 / (4.0 * math.pi ** 3)
+    return _energy(energy, a2 * g_f2, "the neutrino-pair self-energy")
 
 
 def neutrino_self_energy_gaussian(sigma: float, r_c: float, count: int,
@@ -268,9 +317,12 @@ def neutrino_self_energy_gaussian(sigma: float, r_c: float, count: int,
         raise DomainError("sigma must be positive")
     if count < 2:
         raise DomainError("need at least two particles")
-    v = r_c ** 2 / (4.0 * sigma ** 2)
-    bracket = math.exp(-v) / r_c ** 2 - inc_gamma_upper(0.0, v) / (4.0 * sigma ** 2)
-    return bracket * count * (count - 1) * a2 * g_f2 / (32.0 * sigma ** 3 * math.pi ** 3.5)
+
+    def energy():
+        v = r_c ** 2 / (4.0 * sigma ** 2)
+        bracket = math.exp(-v) / r_c ** 2 - inc_gamma_upper(0.0, v) / (4.0 * sigma ** 2)
+        return bracket * count * (count - 1) * a2 * g_f2 / (32.0 * sigma ** 3 * math.pi ** 3.5)
+    return _energy(energy, a2 * g_f2, "the Gaussian neutrino-pair self-energy")
 
 
 # ---------------------------------------------------------------------------

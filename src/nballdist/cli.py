@@ -205,6 +205,8 @@ def cmd_pdf(args) -> int:
 
 def cmd_compare(args) -> int:
     started = time.monotonic()
+    if not (0.0 <= args.threshold <= 1.0):
+        raise _UsageError(f"--threshold must lie in [0, 1], got {args.threshold!r}")
     density = parse_density(args.density)
     geometry = BallGeometry(args.dimension, args.radius)
     evaluator = resolve_evaluator(geometry, density, None)

@@ -53,6 +53,8 @@ __all__ = [
     "density_value",
     "density_radial_value",
     "density_bound",
+    "check_nonnegative",
+    "scaled_coefficients",
     "density_mass",
     "log_density_mass",
     "sphere_area",
@@ -139,6 +141,8 @@ class RadialPolynomial:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if len(self.coefficients) == 0:
             raise InvalidDensityError("radial polynomial needs at least one coefficient")
+        if not all(math.isfinite(c) for c in self.coefficients):
+            raise InvalidDensityError(f"coefficients must be finite: {self.coefficients}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,8 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
+        if not (0.0 < self.sigma < math.inf):
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -180,6 +184,8 @@ class MultiShell:
         dens = [float(d) for d in self.densities]
         if len(radii) != len(dens) or len(radii) == 0:
             raise InvalidDensityError("radii and densities must be equal-length, non-empty")
+        if not all(math.isfinite(v) for v in radii + dens):
+            raise InvalidDensityError(f"shell radii and densities must be finite: {radii}, {dens}")
         if radii[0] <= 0.0 or any(b <= a for a, b in zip(radii, radii[1:])):
             raise InvalidDensityError(f"shell radii must be strictly increasing and positive: {radii}")
         if any(d < 0.0 for d in dens) or not any(d > 0.0 for d in dens):
@@ -307,14 +313,35 @@ def density_bound(model: DensityModel, geometry: BallGeometry) -> float:
     if isinstance(model, GeneralCartesian):
         return float(model.bound)
     if isinstance(model, RadialPolynomial):
+        check_nonnegative(model, geometry)
         # Grid maximum with a safety margin; every accepted candidate is also
         # checked against the bound at sampling time.
-        r = np.linspace(0.0, R, 4097)
-        vals = density_radial_value(model, r)
-        if np.any(vals < -1e-12 * max(1.0, float(np.max(np.abs(vals))))):
-            raise InvalidDensityError("radial polynomial is negative inside the ball")
+        vals = density_radial_value(model, np.linspace(0.0, R, 4097))
         return float(np.max(vals)) * (1.0 + 1e-9) + 1e-300
     raise InvalidDensityError(f"no bound rule for {type(model).__name__}")
+
+
+def scaled_coefficients(model: RadialPolynomial, radius: float) -> tuple:
+    """(q, e) with sum_k c_k r^k = 2^e sum_k q_k (r/R)^k on the ball of
+    radius R. Where R and the largest |c_k R^k| lie within about 2^(+-32),
+    q_k is c_k R^k, computed directly, and e is None (read it as 0);
+    elsewhere the powers of R are split into mantissa and exponent, so that
+    no c_k R^k need be representable, and the largest |q_k| lies in [1/2, 1)."""
+    m, e = math.frexp(radius)
+    terms = [c * m ** k for k, c in enumerate(model.coefficients)]
+    top = max((math.frexp(t)[1] + k * e for k, t in enumerate(terms) if t), default=0)
+    if abs(top) <= 32 and abs(e) <= 32:
+        return tuple(c * radius ** k for k, c in enumerate(model.coefficients)), None
+    return tuple(math.ldexp(t, k * e - top) for k, t in enumerate(terms)), top
+
+
+def check_nonnegative(model: RadialPolynomial, geometry: BallGeometry) -> None:
+    """InvalidDensityError unless the profile is nonnegative on [0, R], to
+    1e-12 of its largest value, checked on a grid of 4097 radii."""
+    q, _ = scaled_coefficients(model, geometry.radius)
+    vals = np.polynomial.polynomial.polyval(np.linspace(0.0, 1.0, 4097), q)
+    if np.any(vals < -1e-12 * float(np.max(np.abs(vals)))):
+        raise InvalidDensityError("radial polynomial is negative inside the ball")
 
 
 def log_sphere_area(n: int) -> float:
@@ -328,31 +355,34 @@ def sphere_area(n: int) -> float:
 
 
 def _radial_moment(model: DensityModel, geometry: BallGeometry):
-    """Int_0^R rho(r) r^(n-1) dr / R^n for a radial model on the ball, None
-    for any other model; the mass is |S^(n-1)| R^n times it."""
+    """(m, e) with 2^e m = Int_0^R rho(r) r^(n-1) dr / R^n for a radial model
+    on the ball (e = 0 but for radial polynomials, whose powers of R it
+    holds), None for any other model; the mass is |S^(n-1)| R^n 2^e m."""
     n, R = geometry.dimension, geometry.radius
     if isinstance(model, Uniform):
-        return 1.0 / n
+        return 1.0 / n, 0
     if isinstance(model, RadialPolynomial):
-        return sum(c * R ** k / (n + k) for k, c in enumerate(model.coefficients))
+        q, e = scaled_coefficients(model, R)
+        return sum(c / (n + k) for k, c in enumerate(q)), e or 0
     if isinstance(model, ParabolicRadial):
-        return 1.0 / n - model.alpha / (n + 2.0)
+        return 1.0 / n - model.alpha / (n + 2.0), 0
     if isinstance(model, MultiShell):
         edges = [0.0] + [min(float(r) / R, 1.0) ** n for r in model.radii]
-        return sum(float(d) * (b - a) for d, a, b in zip(model.densities, edges, edges[1:])) / n
+        return sum(float(d) * (b - a) for d, a, b in zip(model.densities, edges, edges[1:])) / n, 0
     return None
 
 
 def log_density_mass(model: DensityModel, geometry: BallGeometry) -> float:
     """ln |Int_B rho| of a radial model, formed in log space so that it stays
     finite where the mass itself leaves the double range; -inf for zero mass."""
-    moment = _radial_moment(model, geometry)
-    if moment is None:
+    found = _radial_moment(model, geometry)
+    if found is None:
         raise UnsupportedError(f"no log-space mass for {type(model).__name__}")
+    moment, e = found
     if moment == 0.0:
         return -math.inf
     n, R = geometry.dimension, geometry.radius
-    return log_sphere_area(n) + n * math.log(R) + math.log(abs(moment))
+    return log_sphere_area(n) + n * math.log(R) + math.log(abs(moment)) + e * math.log(2.0)
 
 
 def density_mass(model: DensityModel, geometry: BallGeometry) -> float:
@@ -361,9 +391,9 @@ def density_mass(model: DensityModel, geometry: BallGeometry) -> float:
     Int_{S^(n-1)} prod |x_i|^(e_i) = 2 prod Gamma(b_i) / Gamma(sum b_i),
     b_i = (e_i + 1)/2, times R^(n+|e|)/(n+|e|)."""
     n, R = geometry.dimension, geometry.radius
-    moment = _radial_moment(model, geometry)
-    if moment is not None:
-        return sphere_area(n) * R ** n * moment
+    found = _radial_moment(model, geometry)
+    if found is not None:
+        return sphere_area(n) * R ** n * math.ldexp(*found)
     if isinstance(model, CartesianMonomial):
         if len(model.exponents) != n:
             raise InvalidDensityError("exponent count does not match point dimension")

@@ -36,12 +36,14 @@ from .core import (
     Uniform,
     UnsupportedError,
     _as_support,
+    check_nonnegative,
     density_is_radial,
     log_density_mass,
     log_gamma,
     log_sphere_area,
+    scaled_coefficients,
 )
-from ._series import eval_split_at_2r, reexpand_at_2r
+from ._series import eval_split_at_2r, reexpand, reexpand_at_2r
 # quad imports scipy.integrate on its first call
 from .uniform import _balls_pdf, quad
 
@@ -306,6 +308,12 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s,
     every case checked. At the default, smooth profiles are within 1e-13 of
     the closed forms up to n = 100; polynomials in r^2 keep 1.2e-11
     relative accuracy, tails included, up to n = 3000.
+
+    A radial polynomial must be nonnegative on the ball
+    (``check_nonnegative``). Where R or the profile's size lies beyond about
+    2^(+-32) (see ``scaled_coefficients``), it is evaluated on the unit ball,
+    P(s; R) = P(s/R; 1)/R, with its coefficients scaled to it, so that it
+    works for every R in the double range; ``tol`` then applies to R P.
     """
     if not density_is_radial(density):
         raise InvalidDensityError(f"{type(density).__name__} is not a radial density model")
@@ -317,12 +325,21 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s,
         return _shells_pdf(geometry, density, s)
     s = _as_support(geometry, s)
     n = geometry.dimension
+    scale = 1.0
+    if isinstance(density, RadialPolynomial):
+        check_nonnegative(density, geometry)
+        q, e = scaled_coefficients(density, geometry.radius)
+        if e is not None:
+            # P(s; R) = P(s/R; 1) / R, with rho(R t) = 2^e sum_k q_k t^k
+            scale = geometry.radius
+            density = RadialPolynomial(q)
+            geometry, s = BallGeometry(n, 1.0), s / scale
     log_mass = log_density_mass(density, geometry)
     if log_mass == -math.inf:
         raise InvalidDensityError("density integrates to zero over the ball")
     log_norm = 2.0 * log_mass - math.log(2.0) - log_sphere_area(n)
     kernel = _radial_kernel(geometry, density, tol * 1e-2, -log_norm)
-    out = np.array([kernel(v) for v in s.ravel().tolist()]).reshape(s.shape)
+    out = np.array([kernel(v) for v in s.ravel().tolist()]).reshape(s.shape) / scale
     return out if out.ndim else float(out)
 
 
@@ -372,7 +389,12 @@ def gaussian_mode(gaussian: GaussianBall) -> float:
 @dataclass(frozen=True)
 class PiecewisePolynomial:
     """Exact piecewise polynomial on [0, 2R]: ``pieces[i]`` holds Fraction
-    coefficients (index = power of s) valid on [breakpoints[i], breakpoints[i+1]]."""
+    coefficients (index = power of s) valid on [breakpoints[i], breakpoints[i+1]].
+
+    Called on floats, a piece is summed in powers of s on its lower half and
+    in powers of b - s on its upper half, b its upper end, from its exact
+    re-expansion about b: near 2R, where the powers of s cancel, those of
+    2R - s keep full relative accuracy."""
     breakpoints: tuple
     pieces: tuple
 
@@ -389,19 +411,29 @@ class PiecewisePolynomial:
 
     @cached_property
     def _float_pieces(self) -> tuple:
-        """Breakpoints and per-piece coefficients as floats, built once."""
-        return (np.array([float(b) for b in self.breakpoints]),
-                [np.array([float(c) for c in coeffs]) for coeffs in self.pieces])
+        """Breakpoints; per piece, the coefficients as floats in powers of s
+        and in powers of b - s, re-expanded exactly about the float upper
+        end b (so that b - s is exact on the upper half); built once."""
+        edges = np.array([float(b) for b in self.breakpoints])
+        return (edges,
+                [np.array([float(c) for c in coeffs]) for coeffs in self.pieces],
+                [reexpand(dict(enumerate(coeffs)), Fraction(b))
+                 for coeffs, b in zip(self.pieces, edges[1:].tolist())])
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
-        edges, coeffs = self._float_pieces
+        edges, coeffs, upper = self._float_pieces
         idx = np.clip(np.searchsorted(edges, s_arr, side="right") - 1, 0, len(coeffs) - 1)
+        top = s_arr > 0.5 * (edges[idx] + edges[idx + 1])
         out = np.zeros_like(s_arr)
-        for i, c in enumerate(coeffs):
+        polyval = np.polynomial.polynomial.polyval
+        for i, (c, d) in enumerate(zip(coeffs, upper)):
             mask = idx == i
-            if np.any(mask):
-                out[mask] = np.polynomial.polynomial.polyval(s_arr[mask], c)
+            low, high = mask & ~top, mask & top
+            if np.any(low):
+                out[low] = polyval(s_arr[low], c)
+            if np.any(high):
+                out[high] = polyval(edges[i + 1] - s_arr[high], d)
         return out if out.ndim else float(out)
 
     def evaluate_exact(self, s) -> Fraction:

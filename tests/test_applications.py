@@ -122,6 +122,27 @@ def test_hardcore_deep_orders():
         moment_hardcore(G3, 1.9, -3001)  # about 1e-837, below double range
 
 
+@pytest.mark.parametrize("call", [
+    lambda: moment_uniform(BallGeometry(3, 1e200), 5),
+    lambda: moment_uniform(BallGeometry(3, 1e-200), 5),
+    lambda: moment_gaussian(3, 1e200, 5),
+    lambda: moment_gaussian(3, 1e-200, -2),
+])
+def test_moments_beyond_the_double_range(call):
+    # R ** m raised a raw OverflowError, or underflowed to 0
+    with pytest.raises(PrecisionError):
+        call()
+
+
+def test_moments_in_range_through_log_space():
+    # the direct products overflow or underflow; the moments do not
+    g = BallGeometry(1100, 1.0)
+    assert moment_uniform(g, 1) == pytest.approx(moment_uniform_gamma_forms(g, 1)[0], rel=1e-12)
+    # (2 sigma)^m = 50^399 overflows; Gamma(1/2) / Gamma(200) brings it back
+    want = mp.mpf(0.02) ** -399 * mp.gamma(0.5) / mp.gamma(200)
+    assert moment_gaussian(400, 0.01, -399) == pytest.approx(float(want), rel=1e-12)
+
+
 def test_hardcore_guards():
     with pytest.raises(DomainError):
         moment_hardcore(G3, 2.0, 1)

@@ -57,6 +57,27 @@ def test_parse_density_errors_exit_2(tmp_path):
     assert run(tmp_path, "pdf", "-n", "3", "--density", "shells:1.0;0,0", "-o", "x.csv") == 2
 
 
+@pytest.mark.parametrize("spec", ["radial-poly:nan", "radial-poly:1,inf", "gauss:inf",
+                                  "gauss:nan", "shells:0.5,nan;1,2", "shells:0.5,1;1,inf"])
+def test_non_finite_density_specs_exit_2(tmp_path, spec):
+    # radial-poly:nan wrote a CSV of nan, gauss:inf one of zeros
+    assert run(tmp_path, "pdf", "-n", "3", "--density", spec, "-o", "x.csv") == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_pdf_radial_polynomial_negative_in_the_ball_exit_3(tmp_path, capsys):
+    # 1 - 2r is negative beyond r = R/2; sampling refused it, pdf did not
+    assert run(tmp_path, "pdf", "-n", "3", "--density", "radial-poly:1,-2", "-o", "x.csv") == 3
+    assert "negative inside the ball" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("n,spec", [("3", "radial-poly:1,0,-1"), ("4", "radial-poly:2,-1,0.5,0.25"),
+                                    ("4", "radial-poly:2,0,1,0,-1")])
+def test_pdf_signed_coefficients_nonnegative_on_the_ball(tmp_path, n, spec):
+    assert run(tmp_path, "pdf", "-n", n, "--density", spec, "--grid", "11", "-o", "x.csv") == 0
+
+
 # ---------------------------------------------------------------------------
 # pdf subcommand
 # ---------------------------------------------------------------------------
@@ -402,6 +423,28 @@ def test_energy_domain_error_exit_3(tmp_path):
     assert run(tmp_path, "energy", "--kind", "nunubar", "-N", "2", "--hardcore", "5.0") == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("moment", "-n", "3", "-m", "5", "-R", "1e200"),
+    ("moment", "--kind", "gaussian", "-n", "3", "-m", "5", "--sigma", "1e200"),
+    ("moment", "-n", "3", "-m", "5", "-R", "1e-200"),
+    ("energy", "--kind", "coulomb", "-Z", "3", "-n", "3", "-R", "1e-320"),
+    ("energy", "--kind", "coulomb", "-Z", "3", "-n", "4", "-R", "1e-200"),
+    ("energy", "--kind", "nunubar", "-N", "3", "-R", "1e-100", "--hardcore", "1e-100"),
+])
+def test_moment_and_energy_beyond_the_double_range_exit_3(tmp_path, capsys, argv):
+    # these raised a raw OverflowError, or printed Infinity with exit 0
+    assert run(tmp_path, *argv) == 3
+    assert "outside the double range" in capsys.readouterr().err
+
+
+def test_moment_large_dimension_in_range(tmp_path, capsys):
+    # 2^(n+m) overflows at n = 1100, but <s> is about sqrt(2) R
+    from nballdist.applications import moment_uniform_gamma_forms
+    assert run(tmp_path, "moment", "-n", "1100", "-m", "1") == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value == pytest.approx(moment_uniform_gamma_forms(BallGeometry(1100), 1)[0], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # compare subcommand
 # ---------------------------------------------------------------------------
@@ -434,6 +477,14 @@ def test_compare_threshold_failure_exit_4(tmp_path):
                "--threshold", "1.0", "-o", "thr")
     assert code == 4
     assert (tmp_path / "thr.report.json").exists()  # outputs written regardless
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5"])
+def test_compare_threshold_outside_unit_interval_exit_2(tmp_path, threshold):
+    # a nan threshold used to make every run exit 4
+    assert run(tmp_path, "compare", "-n", "3", "--density", "uniform", "--pairs", "20000",
+               "--threshold", threshold, "-o", "thr") == 2
+    assert not (tmp_path / "thr.csv").exists()
 
 
 def test_compare_deterministic_across_threads(tmp_path):

@@ -180,10 +180,17 @@ def test_numeric_radial_large_dimension_parabolic_peak():
     assert np.sum(p[1:] + p[:-1]) / 2.0 * (s[1] - s[0]) == pytest.approx(1.0, abs=1e-4)
 
 
-# rho(r) = sum_k c_k r^k for the oracle; the parabolic profile 1 - alpha r^2/R^2
+def _in_r_over_R(c, R):
+    """Coefficients in r of the profile sum_k c_k (r/R)^k."""
+    return tuple(ck / R ** k for k, ck in enumerate(c))
+
+
+# rho(r) = sum_k c_k r^k for the oracle; the parabolic profile 1 - alpha r^2/R^2;
+# the radial polynomials in r/R, nonnegative on every ball
 R2_PROFILES = [(f"parabolic:{a}", lambda R, a=a: ParabolicRadial(a), lambda R, a=a: (1.0, 0.0, -a / R ** 2))
                for a in (0.0, 0.3, 0.5, 1.0)] + [
-    (f"radial-poly:{c}", lambda R, c=c: RadialPolynomial(c), lambda R, c=c: c)
+    (f"radial-poly:{c}", lambda R, c=c: RadialPolynomial(_in_r_over_R(c, R)),
+     lambda R, c=c: _in_r_over_R(c, R))
     for c in ((1.0, 0.0, -1.0), (2.0, 0.0, 1.0, 0.0, -1.0))]
 
 
@@ -208,6 +215,32 @@ def test_odd_power_profile_keeps_nested_quadrature_bit_for_bit(n, R):
     got = pdf_radial_numeric(g, RadialPolynomial((1.0, 1.0)), s)
     want = [ref.radial_nested_pdf(n, R, (1.0, 1.0), float(v)) for v in s]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("c", [(0.0, 0.0, 1.0), (0.0, 1.0), (0.0, 0.0, 0.0, 1.0)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_radial_polynomial_at_extreme_radii(c, n):
+    # r^k is the same profile on every ball, so R P(R t) does not depend on R;
+    # at R = 1e-100 this raised PrecisionError, at 1e100 it warned, at 1e160
+    # it raised a raw OverflowError
+    t = np.array([0.0, 0.05, 0.5, 1.0, 1.5, 1.9, 2.0])
+    want = pdf_radial_numeric(BallGeometry(n, 1.0), RadialPolynomial(c), t)
+    for R in (1e-150, 1e-100, 1e100, 1e160):
+        got = R * pdf_radial_numeric(BallGeometry(n, R), RadialPolynomial(c), R * t)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0), R
+
+
+def test_radial_polynomial_signs_and_values_are_checked():
+    with pytest.raises(InvalidDensityError):
+        pdf_radial_numeric(G3, RadialPolynomial((1.0, -2.0)), 0.5)  # negative past r = 1/2
+    with pytest.raises(InvalidDensityError):
+        RadialPolynomial((1.0, math.nan))
+    with pytest.raises(InvalidDensityError):
+        MultiShell((0.5, 1.0), (1.0, math.inf))
+    with pytest.raises(DomainError):
+        Gaussian(math.inf)
+    for c in ((1.0, 0.0, -1.0), (2.0, -1.0, 0.5, 0.25), (2.0, 0.0, 1.0, 0.0, -1.0)):
+        assert pdf_radial_numeric(BallGeometry(4, 1.0), RadialPolynomial(c), 0.5) > 0.0
 
 
 def test_exact_slice_takes_one_quadrature_per_point(monkeypatch):
@@ -533,6 +566,23 @@ def test_arbitrary_boundaries_match_numeric():
     for s in np.linspace(0.08, 1.92, 21):
         assert float(poly(float(s))) == pytest.approx(
             pdf_radial_numeric(G3, shells, float(s), tol=1e-7), abs=1e-6)
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("shells", [((F(1, 2), F(1)), (1, 2)),
+                                    ((F(1, 4), F(1, 2), F(3, 4), F(1)), (1, 2, 3, 4)),
+                                    ((F(1, 3), F(1)), (2, 1))])
+def test_shell_polynomial_full_relative_accuracy(R, shells):
+    # summed in powers of s, the two-shell form was 1.1e-4 off at 1.999999R
+    radii, dens = shells
+    poly = multishell_polynomial(BallGeometry(3, float(R)),
+                                 MultiShell(tuple(r * R for r in radii), dens))
+    s = [R * t for t in (1.99, 1.9999, 1.999999)]
+    for b in poly.breakpoints:
+        s += [float(b) + sign * d * R for d in (1e-9, 1e-6, 1e-3) for sign in (-1, 1)]
+    s = np.array([v for v in s if 0.0 < v < 2.0 * R])
+    want = np.array([float(poly.evaluate_exact(F(v))) for v in s])
+    assert np.max(np.abs(poly(s) - want) / want) < 1e-13
 
 
 def test_pdf_multishell_scalar():
