@@ -186,17 +186,15 @@ def _fields(values: np.ndarray) -> np.ndarray:
     return field
 
 
-def csv_rows(columns) -> str:
+def csv_rows(columns):
     """Lines of comma-separated ``%.17g`` values, row i holding element i
-    of each column (1-D arrays of one length), formatted about
-    ``_CHUNK`` values at a time."""
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    step = max(1, _CHUNK // table.shape[1])
-    text = []
-    for lo in range(0, len(table), step):
-        part = table[lo:lo + step]
+    of each column (1-D arrays of one length), yielded as one string per
+    block of about ``_CHUNK`` values."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    step = max(1, _CHUNK // len(columns))
+    for lo in range(0, len(columns[0]), step):
+        part = np.column_stack([c[lo:lo + step] for c in columns])
         field = _fields(part.ravel()).reshape(*part.shape, _WIDTH)
         field[:, :-1, -1] = ord(",")
         field[:, -1, -1] = ord("\n")
-        text.append(field.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(text)
+        yield field.tobytes().translate(None, b"\0").decode("ascii")

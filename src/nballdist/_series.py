@@ -24,11 +24,6 @@ def reexpand(table: dict, at) -> np.ndarray:
     return np.array([float(d) for d in out])
 
 
-def reexpand_at_2r(table: dict) -> np.ndarray:
-    """``reexpand`` about t = s/R = 2: the coefficients in u = 2 - s/R."""
-    return reexpand(table, 2)
-
-
 def poly_eval(table: dict, s, R: float):
     """sum_k c_k s^k / R^(k+1), ``table`` mapping k to c_k, summed in s/R,
     so that no power of R leaves the double range."""
@@ -40,7 +35,7 @@ def poly_eval(table: dict, s, R: float):
 
 def eval_split_at_2r(table: dict, at_2r: np.ndarray, s, R: float):
     """``poly_eval`` on s in [0, 2R]: in powers of s up to 1.4R,
-    and above it in powers of 2R - s (``at_2r = reexpand_at_2r(table)``),
+    and above it in powers of 2R - s (``at_2r = reexpand(table, 2)``),
     where the powers of s cancel but those of 2R - s keep full relative
     accuracy."""
     near_2r = np.polynomial.polynomial.polyval((2.0 * R - s) / R, at_2r) / R

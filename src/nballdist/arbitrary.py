@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import CounterStream
-from ._series import eval_split_at_2r, poly_eval, reexpand_at_2r
+from ._series import eval_split_at_2r, poly_eval, reexpand
 from .core import (
     BallGeometry,
     DensityModel,
@@ -447,7 +447,7 @@ _EX4_SQRT = {4: Fraction(196, 3), 6: Fraction(114, 5), 8: Fraction(28, 15),
 _EX4_ASIN = {3: Fraction(112, 3), 5: Fraction(96), 7: Fraction(16)}
 
 
-_EX3_AT_2R = reexpand_at_2r(_EX3_POLY)
+_EX3_AT_2R = reexpand(_EX3_POLY, 2)
 
 
 def _root_and_asin(geometry: BallGeometry, s) -> tuple:

@@ -52,19 +52,17 @@ from .montecarlo import SamplerConfig, merge_histograms
 _STREAMS = 16  # fixed substream fan-out so thread count never changes results
 
 
-# Grid points per evaluator call of ``pdf``, and rows per write. Every
-# evaluator is elementwise in s, so the block size changes no output bit; it
-# bounds the evaluators' grid-sized temporaries to 4096 points.
+# Grid points per evaluator call of ``pdf``. Every evaluator is elementwise
+# in s, so the block size changes no output bit; it bounds the evaluators'
+# grid-sized temporaries to 4096 points.
 _PDF_BLOCK = 4096
 
 
 def _write_rows(fh, *columns) -> None:
     """Comma-separated lines of %.17g floats, row i holding element i of
-    each column, formatted by the array kernel of ``_csvfmt`` a block of
-    rows at a time. An integer count below 10^17 prints as its digits, as
-    ``str(int(c))`` does."""
-    for lo in range(0, len(columns[0]), _PDF_BLOCK):
-        fh.write(_csvfmt.csv_rows([c[lo:lo + _PDF_BLOCK] for c in columns]))
+    each column, formatted by the array kernel of ``_csvfmt``. An integer
+    count below 10^17 prints as its digits, as ``str(int(c))`` does."""
+    fh.writelines(_csvfmt.csv_rows(columns))
 
 
 def parse_density(spec: str):

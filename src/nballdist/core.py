@@ -53,8 +53,6 @@ __all__ = [
     "density_value",
     "density_radial_value",
     "density_bound",
-    "check_nonnegative",
-    "scaled_coefficients",
     "density_mass",
     "log_density_mass",
     "sphere_area",
@@ -313,7 +311,7 @@ def density_bound(model: DensityModel, geometry: BallGeometry) -> float:
     if isinstance(model, GeneralCartesian):
         return float(model.bound)
     if isinstance(model, RadialPolynomial):
-        check_nonnegative(model, geometry)
+        _check_nonnegative(model, geometry)
         # Grid maximum with a safety margin; every accepted candidate is also
         # checked against the bound at sampling time.
         vals = density_radial_value(model, np.linspace(0.0, R, 4097))
@@ -321,7 +319,7 @@ def density_bound(model: DensityModel, geometry: BallGeometry) -> float:
     raise InvalidDensityError(f"no bound rule for {type(model).__name__}")
 
 
-def scaled_coefficients(model: RadialPolynomial, radius: float) -> tuple:
+def _scaled_coefficients(model: RadialPolynomial, radius: float) -> tuple:
     """(q, e) with sum_k c_k r^k = 2^e sum_k q_k (r/R)^k on the ball of
     radius R. Where R and the largest |c_k R^k| lie within about 2^(+-32),
     q_k is c_k R^k, computed directly, and e is None (read it as 0);
@@ -335,10 +333,10 @@ def scaled_coefficients(model: RadialPolynomial, radius: float) -> tuple:
     return tuple(math.ldexp(t, k * e - top) for k, t in enumerate(terms)), top
 
 
-def check_nonnegative(model: RadialPolynomial, geometry: BallGeometry) -> None:
+def _check_nonnegative(model: RadialPolynomial, geometry: BallGeometry) -> None:
     """InvalidDensityError unless the profile is nonnegative on [0, R], to
     1e-12 of its largest value, checked on a grid of 4097 radii."""
-    q, _ = scaled_coefficients(model, geometry.radius)
+    q, _ = _scaled_coefficients(model, geometry.radius)
     vals = np.polynomial.polynomial.polyval(np.linspace(0.0, 1.0, 4097), q)
     if np.any(vals < -1e-12 * float(np.max(np.abs(vals)))):
         raise InvalidDensityError("radial polynomial is negative inside the ball")
@@ -362,7 +360,7 @@ def _radial_moment(model: DensityModel, geometry: BallGeometry):
     if isinstance(model, Uniform):
         return 1.0 / n, 0
     if isinstance(model, RadialPolynomial):
-        q, e = scaled_coefficients(model, R)
+        q, e = _scaled_coefficients(model, R)
         return sum(c / (n + k) for k, c in enumerate(q)), e or 0
     if isinstance(model, ParabolicRadial):
         return 1.0 / n - model.alpha / (n + 2.0), 0

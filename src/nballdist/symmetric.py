@@ -36,14 +36,14 @@ from .core import (
     Uniform,
     UnsupportedError,
     _as_support,
-    check_nonnegative,
+    _check_nonnegative,
+    _scaled_coefficients,
     density_is_radial,
     log_density_mass,
     log_gamma,
     log_sphere_area,
-    scaled_coefficients,
 )
-from ._series import eval_split_at_2r, reexpand, reexpand_at_2r
+from ._series import eval_split_at_2r, reexpand
 # quad imports scipy.integrate on its first call
 from .uniform import _balls_pdf, quad
 
@@ -69,7 +69,7 @@ __all__ = [
 
 _R2_COEFFS = {2: Fraction(25, 7), 3: Fraction(-25, 4), 4: Fraction(5),
               5: Fraction(-25, 16), 9: Fraction(5, 448)}
-_R2_AT_2R = reexpand_at_2r(_R2_COEFFS)
+_R2_AT_2R = reexpand(_R2_COEFFS, 2)
 
 
 def pdf_radial_r2(geometry: BallGeometry, s):
@@ -96,7 +96,7 @@ def _parabolic_tables(alpha: float) -> tuple:
              7: -15 * a / (8 * d * d),
              9: 45 * a * a / (448 * d * d)}
     table = {k: c for k, c in table.items() if c}
-    return table, reexpand_at_2r(table)
+    return table, reexpand(table, 2)
 
 
 def pdf_radial_parabolic(geometry: BallGeometry, alpha: float, s):
@@ -310,8 +310,8 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s,
     relative accuracy, tails included, up to n = 3000.
 
     A radial polynomial must be nonnegative on the ball
-    (``check_nonnegative``). Where R or the profile's size lies beyond about
-    2^(+-32) (see ``scaled_coefficients``), it is evaluated on the unit ball,
+    (``core._check_nonnegative``). Where R or the profile's size lies beyond about
+    2^(+-32) (see ``core._scaled_coefficients``), it is evaluated on the unit ball,
     P(s; R) = P(s/R; 1)/R, with its coefficients scaled to it, so that it
     works for every R in the double range; ``tol`` then applies to R P.
     """
@@ -327,8 +327,8 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s,
     n = geometry.dimension
     scale = 1.0
     if isinstance(density, RadialPolynomial):
-        check_nonnegative(density, geometry)
-        q, e = scaled_coefficients(density, geometry.radius)
+        _check_nonnegative(density, geometry)
+        q, e = _scaled_coefficients(density, geometry.radius)
         if e is not None:
             # P(s; R) = P(s/R; 1) / R, with rho(R t) = 2^e sum_k q_k t^k
             scale = geometry.radius

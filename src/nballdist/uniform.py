@@ -292,7 +292,7 @@ def odd_series_coefficients(n: int) -> dict:
 def _odd_tables(n: int) -> tuple:
     """``odd_series_coefficients(n)`` and its re-expansion about s = 2R."""
     table = odd_series_coefficients(n)
-    return table, _series.reexpand_at_2r(table)
+    return table, _series.reexpand(table, 2)
 
 
 def _odd_polynomial_pdf(geometry: BallGeometry, s):

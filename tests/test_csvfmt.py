@@ -11,7 +11,7 @@ from nballdist import _csvfmt, cli
 
 def assert_exact(values):
     values = np.asarray(values, dtype=float)
-    got = _csvfmt.csv_rows([values])
+    got = "".join(_csvfmt.csv_rows([values]))
     want = "%.17g\n" * len(values) % tuple(values.tolist())
     if got != want:
         bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split("\n"), want.split("\n"))
