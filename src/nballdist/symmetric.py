@@ -391,10 +391,10 @@ class PiecewisePolynomial:
     """Exact piecewise polynomial on [0, 2R]: ``pieces[i]`` holds Fraction
     coefficients (index = power of s) valid on [breakpoints[i], breakpoints[i+1]].
 
-    Called on floats, a piece is summed in powers of s on its lower half and
-    in powers of b - s on its upper half, b its upper end, from its exact
-    re-expansion about b: near 2R, where the powers of s cancel, those of
-    2R - s keep full relative accuracy."""
+    Called on floats, a piece on [a, b] is summed in powers of a - s on its
+    lower half and of b - s on its upper half, from its exact re-expansions
+    about a and b: near 2R, where the powers of s cancel, those of 2R - s
+    keep full relative accuracy."""
     breakpoints: tuple
     pieces: tuple
 
@@ -411,29 +411,24 @@ class PiecewisePolynomial:
 
     @cached_property
     def _float_pieces(self) -> tuple:
-        """Breakpoints; per piece, the coefficients as floats in powers of s
-        and in powers of b - s, re-expanded exactly about the float upper
-        end b (so that b - s is exact on the upper half); built once."""
+        """Breakpoints, and per piece its coefficients as floats in powers of
+        a - s and of b - s, re-expanded exactly about its float ends a and b
+        (so that b - s is exact on the upper half); built once."""
         edges = np.array([float(b) for b in self.breakpoints])
-        return (edges,
-                [np.array([float(c) for c in coeffs]) for coeffs in self.pieces],
-                [reexpand(dict(enumerate(coeffs)), Fraction(b))
-                 for coeffs, b in zip(self.pieces, edges[1:].tolist())])
+        return edges, [[reexpand(dict(enumerate(coeffs)), Fraction(end)) for end in ends]
+                       for coeffs, ends in zip(self.pieces, zip(edges[:-1].tolist(), edges[1:].tolist()))]
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
-        edges, coeffs, upper = self._float_pieces
-        idx = np.clip(np.searchsorted(edges, s_arr, side="right") - 1, 0, len(coeffs) - 1)
+        edges, pieces = self._float_pieces
+        idx = np.clip(np.searchsorted(edges, s_arr, side="right") - 1, 0, len(pieces) - 1)
         top = s_arr > 0.5 * (edges[idx] + edges[idx + 1])
         out = np.zeros_like(s_arr)
-        polyval = np.polynomial.polynomial.polyval
-        for i, (c, d) in enumerate(zip(coeffs, upper)):
-            mask = idx == i
-            low, high = mask & ~top, mask & top
-            if np.any(low):
-                out[low] = polyval(s_arr[low], c)
-            if np.any(high):
-                out[high] = polyval(edges[i + 1] - s_arr[high], d)
+        for i, ends in enumerate(pieces):
+            for half, end, coeffs in zip((~top, top), edges[i:i + 2], ends):
+                mask = (idx == i) & half
+                if np.any(mask):
+                    out[mask] = np.polynomial.polynomial.polyval(end - s_arr[mask], coeffs)
         return out if out.ndim else float(out)
 
     def evaluate_exact(self, s) -> Fraction:
