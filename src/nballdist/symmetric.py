@@ -310,10 +310,11 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s,
     relative accuracy, tails included, up to n = 3000.
 
     A radial polynomial must be nonnegative on the ball
-    (``core._check_nonnegative``). Where R or the profile's size lies beyond about
-    2^(+-32) (see ``core._scaled_coefficients``), it is evaluated on the unit ball,
-    P(s; R) = P(s/R; 1)/R, with its coefficients scaled to it, so that it
-    works for every R in the double range; ``tol`` then applies to R P.
+    (``core._check_nonnegative``). Where R or the profile's size lies beyond
+    about 2^(+-32) (see ``core._scaled_coefficients``), it is evaluated on
+    the unit ball, P(s; R) = P(s/R; 1)/R, with its coefficients scaled to
+    it, so that it works for every R in the double range; ``tol`` then
+    applies to R P.
     """
     if not density_is_radial(density):
         raise InvalidDensityError(f"{type(density).__name__} is not a radial density model")
@@ -415,8 +416,9 @@ class PiecewisePolynomial:
         a - s and of b - s, re-expanded exactly about its float ends a and b
         (so that b - s is exact on the upper half); built once."""
         edges = np.array([float(b) for b in self.breakpoints])
-        return edges, [[reexpand(dict(enumerate(coeffs)), Fraction(end)) for end in ends]
-                       for coeffs, ends in zip(self.pieces, zip(edges[:-1].tolist(), edges[1:].tolist()))]
+        ends = zip(edges[:-1].tolist(), edges[1:].tolist())
+        return edges, [[reexpand(dict(enumerate(coeffs)), Fraction(end)) for end in pair]
+                       for coeffs, pair in zip(self.pieces, ends)]
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)

@@ -69,8 +69,9 @@ def test_matches_percent_format(values):
 def test_rows_match_the_row_by_row_writer():
     grid = np.linspace(0.0, 2.0, 2 * cli._PDF_BLOCK + 3)
     counts = np.arange(len(grid), dtype=np.int64) * 1000
+    tail = -np.exp(-grid * 40.0)  # down to -1.8e-35, in exponent notation
     out = io.StringIO()
-    cli._write_rows(out, grid, counts, -np.exp(-grid * 40.0))
-    want = "".join(f"{s:.17g},{int(c)},{float(v):.17g}\n"
-                   for s, c, v in zip(grid.tolist(), counts.tolist(), (-np.exp(-grid * 40.0)).tolist()))
+    cli._write_rows(out, grid, counts, tail)
+    want = "".join(f"{s:.17g},{int(c)},{v:.17g}\n"
+                   for s, c, v in zip(grid.tolist(), counts.tolist(), tail.tolist()))
     assert out.getvalue() == want
