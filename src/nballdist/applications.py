@@ -290,18 +290,28 @@ def neutrino_self_energy_uniform(radius: float, r_c: float, count: int,
     the bracket being int_{r_c}^{2R} s^-5 P_3(s) ds in closed form. The
     coupling product a^2 is an explicit factor (default 1); see the module
     constants for the standard-model values.
+
+    The bracket is evaluated as 3 (2R - r_c)^3 / (16 r_c^2 R^6), which has no
+    cancellation (its four terms cancel as r_c -> 2R), directly where that
+    product stays in range and in log space where a factor leaves it;
+    PrecisionError where W itself does.
     """
     if not (0.0 < r_c < 2.0 * radius):
         raise DomainError(f"need 0 < r_c < 2R, got r_c={r_c!r}, R={radius!r}")
     if count < 2:
         raise DomainError("need at least two particles")
-    R = radius
-
-    def energy():
-        bracket = (3.0 / (2.0 * r_c ** 2 * R ** 3) - 9.0 / (4.0 * r_c * R ** 4)
-                   + 9.0 / (8.0 * R ** 5) - 3.0 * r_c / (16.0 * R ** 6))
-        return count * (count - 1) / 2.0 * bracket * a2 * g_f2 / (4.0 * math.pi ** 3)
-    return _energy(energy, a2 * g_f2, "the neutrino-pair self-energy")
+    coupling = a2 * g_f2
+    if coupling == 0.0:
+        return 0.0
+    R, pairs = radius, count * (count - 1) / 2.0
+    gap = (2.0 * R - r_c) / R  # 2R - r_c is exact for r_c >= R
+    weight = 3.0 / (64.0 * math.pi ** 3)
+    value = _in_range(
+        lambda: pairs * abs(coupling) * weight * gap ** 3 * (1.0 / r_c) ** 2 * (1.0 / R) ** 3,
+        lambda: (math.log(pairs) + math.log(abs(coupling)) + math.log(weight)
+                 + 3.0 * math.log(gap) - 2.0 * math.log(r_c) - 3.0 * math.log(R)),
+        "the neutrino-pair self-energy")
+    return math.copysign(value, coupling)
 
 
 def neutrino_self_energy_gaussian(sigma: float, r_c: float, count: int,

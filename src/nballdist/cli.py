@@ -94,8 +94,8 @@ class _UsageError(Exception):
 
 def _pointwise(scalar_route):
     """Array callable over a route that takes one float s at a time: the
-    n = 2 master quadrature and the forced uniform representations. A float
-    in gives a float out."""
+    n = 2 master quadrature and the forced uniform representations other
+    than reg_inc_beta. A float in gives a float out."""
     def evaluate(s):
         s = np.asarray(s, dtype=float)
         out = np.array([scalar_route(v) for v in s.ravel().tolist()], dtype=float)
@@ -111,6 +111,8 @@ def resolve_evaluator(geometry: BallGeometry, density, representation=None):
     if isinstance(density, Uniform):
         if representation is not None:
             rep = uniform.Representation(representation)
+            if rep is uniform.Representation.REG_INC_BETA:
+                return lambda s: uniform.pdf_uniform_repr(geometry, s, rep)
             return _pointwise(lambda s: uniform.pdf_uniform_repr(geometry, s, rep))
         return lambda s: uniform.pdf_uniform(geometry, s)
     if isinstance(density, Gaussian):

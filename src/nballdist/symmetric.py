@@ -334,7 +334,11 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s,
             # P(s; R) = P(s/R; 1) / R, with rho(R t) = 2^e sum_k q_k t^k
             scale = geometry.radius
             density = RadialPolynomial(q)
-            geometry, s = BallGeometry(n, 1.0), s / scale
+    elif abs(math.frexp(geometry.radius)[1]) > 32:
+        # the uniform and parabolic profiles depend on r/R alone
+        scale = geometry.radius
+    if scale != 1.0:
+        geometry, s = BallGeometry(n, 1.0), s / scale
     log_mass = log_density_mass(density, geometry)
     if log_mass == -math.inf:
         raise InvalidDensityError("density integrates to zero over the ball")

@@ -4,8 +4,10 @@ The default evaluation path is the regularized incomplete beta form
 
     P_n(s) = n s^(n-1) / R^n * I_x((n+1)/2, 1/2),   x = 1 - s^2/(4R^2),
 
-evaluated on whole arrays of s by ``scipy.special`` from the exact pair
-(x, y = s^2/4R^2), which keeps full accuracy at both ends of the support.
+evaluated on whole arrays of s from the exact pair (x, y = s^2/4R^2), which
+keeps full accuracy at both ends of the support: ``scipy.special`` below the
+median of Beta(1/2, (n+1)/2) in y and for x < 1/2, and between them, for
+n >= 9, an incomplete-gamma series on x as a double-double (``_cap_beta``).
 In odd dimensions up to 9 it is the paper's terminating odd-n polynomial
 instead, from exact rational coefficients.
 The other representations (integral, finite parity series, infinite series,
@@ -94,25 +96,195 @@ def _log_reg_inc_beta_tail(a: float, x: np.ndarray) -> np.ndarray:
             + np.log(special.hyp2f1(a + 0.5, 1.0, a + 1.0, x)))
 
 
+# I_x(a, 1/2) between the median of Beta(1/2, a) in y and x = 1/2 comes, for
+# a >= _SERIES_MIN_A, from the incomplete-gamma series of ``_band_series``:
+# _SERIES_TERMS terms at a >= _SERIES_A, below which a is first stepped up to
+# _SERIES_A. Against 50-digit mpmath the series is within 4 * 2^-52 relative
+# for every a from 5 to 1000, and 16 terms already reach that; betaincc is
+# within 2^-53 but 40 times slower. Below _SERIES_MIN_A betaincc stays: the
+# cap sums of thin shells in low dimensions cancel up to 1e10-fold, and with
+# the series their error grew up to 3-fold at n = 4.
+_SERIES_MIN_A = 5.0
+_SERIES_A = 15.0
+_SERIES_TERMS = 18
+# Exact rationals up to here; beyond it the central binomial ratio comes from
+# its asymptotic series, whose first omitted term is below 2^-90 there.
+_EXACT_BINOMIAL_MAX_M = 4096
+_SPLITTER = 134217729.0  # 2^27 + 1, Dekker's split into two 26-bit halves
+
+
+def _bernoulli(count: int) -> list:
+    """B_0 .. B_count as Fractions, with B_1 = -1/2."""
+    b = [Fraction(1)]
+    for m in range(1, count + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def _phi_coefficients(count: int) -> list:
+    """c_0 .. c_count of phi(tau) = (tau / (1 - exp(-tau)))^(1/2) = sum c_k tau^k,
+    exact: tau / (1 - exp(-tau)) = sum_m (-1)^m B_m tau^m / m!, and c is its
+    square root, c_k = (b_k - sum_(0<i<k) c_i c_(k-i)) / 2."""
+    b = [(-1) ** m * bm / math.factorial(m) for m, bm in enumerate(_bernoulli(count))]
+    c = [Fraction(1)]
+    for k in range(1, count + 1):
+        c.append((b[k] - sum(c[i] * c[k - i] for i in range(1, k))) / 2)
+    return c
+
+
+_PHI = tuple(float(c) for c in _phi_coefficients(_SERIES_TERMS))
+
+
+@lru_cache(maxsize=64)
+def _inverse_beta_half(a: float) -> float:
+    """1 / B(a, 1/2) for a in N/2, from rho = C(2m, m) / 4^m =
+    Gamma(m + 1/2) / (sqrt(pi) m!): B(m + 1/2, 1/2) = pi rho and
+    B(m, 1/2) = 1 / (m rho) = 2^(2m-1) ((m-1)!)^2 / (2m-1)!. rho is correctly
+    rounded from exact integers up to m = _EXACT_BINOMIAL_MAX_M, and beyond it
+    is exp(-1/8m + 1/192m^3 - 1/640m^5) / sqrt(pi m) (the Bernoulli-polynomial
+    series of ln Gamma), within 2 ulp."""
+    m = int(a)
+    if m <= _EXACT_BINOMIAL_MAX_M:
+        rho = float(Fraction(math.comb(2 * m, m), 4 ** m))
+    else:
+        w = 1.0 / m
+        rho = (math.exp(w * (-1.0 / 8.0 + w * w * (1.0 / 192.0 - w * w / 640.0)))
+               / math.sqrt(math.pi * m))
+    return m * rho if a == m else 1.0 / (math.pi * rho)
+
+
+@lru_cache(maxsize=64)
+def _beta_median(a: float) -> float:
+    """The median of Beta(1/2, a)."""
+    return float(special.betaincinv(0.5, a, 0.5))
+
+
+@lru_cache(maxsize=64)
+def _series_tables(a: float) -> tuple:
+    """The constants of ``_band_series`` at a: (steps, a + steps, Horner
+    coefficients of the polynomial in u, the erfcx weight, the step weights,
+    1 / B(a, 1/2))."""
+    steps = max(0, math.ceil(_SERIES_A - a))
+    top = a + steps
+    # the sum over k of c_k J_k, with J_k = ((k - 1/2) J_(k-1) + u^(k-1/2)) / top,
+    # folds into d_0 J_0 + sqrt(u) / top * sum_(m>=1) d_m u^(m-1), where
+    # d_m = c_m + (m + 1/2) / top * d_(m+1)
+    d = [0.0] * (_SERIES_TERMS + 1)
+    d[-1] = _PHI[-1]
+    for m in range(_SERIES_TERMS - 1, -1, -1):
+        d[m] = _PHI[m] + (m + 0.5) / top * d[m + 1]
+    # B(a, 1/2) / B(a + j, 1/2) = prod_(i<j) (a + i + 1/2) / (a + i), exact
+    ratio, weights = Fraction(1), []
+    for j in range(steps):
+        aj = Fraction(a) + j
+        weights.append(float(ratio / aj))
+        ratio *= (aj + Fraction(1, 2)) / aj
+    ratio = float(ratio)
+    poly = tuple(ratio * dm / top for dm in d[1:])
+    erfcx_weight = ratio * d[0] * math.sqrt(math.pi / top)
+    return steps, top, poly, erfcx_weight, tuple(weights), _inverse_beta_half(a)
+
+
+def _split(v):
+    """Dekker's split of v into two 26-bit halves, whose products are exact."""
+    c = _SPLITTER * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _quotient(v: np.ndarray, r: float) -> tuple:
+    """(q, q_lo) with q = v/r rounded and q + q_lo = v/r to about 2^-106:
+    the remainder v - q r is exact from Dekker's product, on v and r scaled
+    by the same power of two."""
+    m, e = math.frexp(r)
+    m_hi, m_lo = _split(m)
+    v = np.ldexp(v, -e)
+    q = v / m
+    q_hi, q_lo = _split(q)
+    p = q * m
+    p_err = ((q_hi * m_hi - p) + q_hi * m_lo + q_lo * m_hi) + q_lo * m_lo
+    return q, ((v - p) - p_err) / m
+
+
+def _cap_argument(r: float, h: np.ndarray) -> tuple:
+    """(t, x_hi, x_lo) for the cap of the ball of radius r beyond |h| < r:
+    t = |h|/r rounded, and x = 1 - h^2/r^2 = x_hi + x_lo to about 2^-104 in
+    absolute terms, from the double-double |h|/r and Dekker's exact square."""
+    t, t_lo = _quotient(np.abs(h), r)
+    t_hi, t_mid = _split(t)
+    y = t * t
+    y_lo = (((t_hi * t_hi - y) + 2.0 * t_hi * t_mid) + t_mid * t_mid) + 2.0 * t * t_lo
+    x_hi = 1.0 - y
+    return t, x_hi, ((1.0 - x_hi) - y) - y_lo
+
+
+def _band_series(a: float, t: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray) -> np.ndarray:
+    """I_x(a, 1/2) for x = x_hi + x_lo >= 1/2, t = sqrt(1 - x), a >= _SERIES_MIN_A.
+
+    With x = exp(-u) and (1 - exp(-tau))^(-1/2) = tau^(-1/2) phi(tau),
+    I_x(a, 1/2) = x^a / B(a, 1/2) sum_k c_k J_k, J_k = e^(au) a^(-k-1/2)
+    Gamma(k + 1/2, au): J_0 = sqrt(pi/a) erfcx(sqrt(au)) and
+    J_k = ((k - 1/2) J_(k-1) + u^(k-1/2)) / a (DiDonato & Morris's BGRAT
+    idea for small b). phi has radius of convergence 2 pi and u <= ln 2, so
+    the sum converges for every a; below _SERIES_A, a first steps up through
+    I_x(a, 1/2) = I_x(a + 1, 1/2) + x^a sqrt(1 - x) / (a B(a, 1/2)) (DLMF
+    8.17.20), whose terms are all positive. x^a is pow(x_hi, a) (1 + a x_lo/x_hi).
+    """
+    steps, top, poly, erfcx_weight, weights, inv_beta = _series_tables(a)
+    eta = x_lo / x_hi
+    u = -(np.log(x_hi) + eta)
+    acc = poly[-1]
+    for c in poly[-2::-1]:
+        acc = acc * u + c
+    total = np.sqrt(u) * acc + erfcx_weight * special.erfcx(np.sqrt(top * u))
+    if steps:
+        q = weights[-1]
+        for w in weights[-2::-1]:
+            q = q * x_hi + w
+        total = t * q + np.power(x_hi, steps) * (1.0 + steps * eta) * total
+    return np.power(x_hi, a) * (1.0 + a * eta) * total * inv_beta
+
+
+def _at(v, lanes):
+    """v at the lanes; a scalar stays a numpy scalar, whose arithmetic costs
+    a tenth of that of a one-element array, with the same bits."""
+    return v if np.ndim(v) == 0 else v[lanes]
+
+
 def _cap_beta(a: float, r: float, h: np.ndarray) -> tuple:
     """(I_x(a, 1/2), x) for the cap of the ball of radius r beyond |h|,
     x = 1 - h^2/r^2 clipped to [0, 1].
 
-    Both x = ((r - h)/r)((r + h)/r) and its complement y = h^2/r^2 are exact,
-    and I_x(a, 1/2) is 1 - I_y(1/2, a) where y <= x and betainc(a, 1/2, x)
-    where x < y, so scipy never forms 1 - x itself (the (x, y) pair of
-    TOMS 708). The complement is taken by subtraction where I_y <= 1/2 (y up
-    to the median of Beta(1/2, a)), which loses at most one bit, and by the
-    slower betaincc elsewhere.
+    x = ((r - h)/r)((r + h)/r) and its complement y = h^2/r^2 are both formed
+    without cancellation (the (x, y) pair of TOMS 708), and scipy never forms
+    1 - x itself. The lanes fall into three classes:
+
+    - y up to the median of Beta(1/2, a): 1 - I_y(1/2, a), which loses at
+      most one bit;
+    - from there to y <= x: ``_band_series`` for a >= _SERIES_MIN_A, the
+      slower betaincc below it;
+    - x < y: betainc(a, 1/2, x) plus (x_exact - x) times the Beta(a, 1/2)
+      density at x, the first-order term that the rounded x loses, with
+      x_exact the double-double of ``_cap_argument``.
     """
     x = np.clip(((r - h) / r) * ((r + h) / r), 0.0, 1.0)
-    y = (h / r) ** 2
+    t = h / r
+    y = t * t  # a product: ** 2 rounds differently on numpy scalars
     near = y <= x
-    by_subtraction = near & (y <= special.betaincinv(0.5, a, 0.5))
-    ix = special.betainc(a, 0.5, x, where=~near, out=np.empty_like(x))
-    special.betainc(0.5, a, y, where=by_subtraction, out=ix)
+    by_subtraction = near & (y <= _beta_median(a))
+    ix = special.betainc(0.5, a, y, where=by_subtraction, out=np.zeros_like(x))
     np.subtract(1.0, ix, where=by_subtraction, out=ix)
-    special.betaincc(0.5, a, y, where=near & ~by_subtraction, out=ix)
+    band = near & ~by_subtraction
+    if a < _SERIES_MIN_A:
+        special.betaincc(0.5, a, y, where=band, out=ix)
+    elif band.any():
+        ix[band] = _band_series(a, *_cap_argument(r, _at(h, band)))
+    far = ~near & (x > 0.0)
+    if far.any():
+        xf = _at(x, far)
+        t_far, x_hi, x_lo = _cap_argument(r, _at(h, far))
+        density = np.power(xf, a - 1.0) / t_far * _inverse_beta_half(a)
+        ix[far] = special.betainc(a, 0.5, xf) + ((x_hi - xf) + x_lo) * density
     return ix, x
 
 
@@ -167,8 +339,13 @@ def _balls_pdf(geometry: BallGeometry, balls, s):
         for w, r, f, h, ix, x in caps(s):
             total += w * (r / rho) ** n * np.where(h >= 0.0, f * ix, 1.0 - f * ix)
             underflow |= (h >= 0.0) & (x > 0.0) & (ix < _TINY)
-        # np.power, not **, so that a float and an array element agree bit for bit
-        out = np.asarray(n / rho * (np.power(s / rho, n - 1) * (total / (mass * mass))))
+        # (s/rho)^(n-1) from the double-double s/rho, whose low part gives the
+        # first-order term; np.power, not **, so that a float and an array
+        # element agree bit for bit
+        q, q_lo = _quotient(s, rho)
+        rel = np.divide(q_lo, q, out=np.zeros_like(q), where=q > 0.0)
+        out = np.asarray(n / rho * (np.power(q, n - 1) * (1.0 + (n - 1) * rel)
+                                    * (total / (mass * mass))))
         logs = (s > 0.0) & (underflow | ~np.isfinite(out))
         if np.any(logs):
             t = s[logs]
@@ -185,7 +362,7 @@ def _balls_pdf(geometry: BallGeometry, balls, s):
             # lanes where every cap is empty sum to 0, not to exp(-inf + inf)
             scaled = np.array(signs) @ np.exp(terms - top, out=np.zeros_like(terms),
                                               where=terms > -np.inf)
-            out[logs] = n / rho * scaled * np.exp((n - 1) * np.log(t / rho) + top
+            out[logs] = n / rho * scaled * np.exp((n - 1) * (np.log(q[logs]) + rel[logs]) + top
                                                   - 2.0 * math.log(mass))
     if not np.all(np.isfinite(out)):
         raise PrecisionError(f"pair-distance PDF leaves the double range at n={n}")
@@ -207,11 +384,10 @@ def pdf_uniform(geometry: BallGeometry, s):
     DLMF 8.17) and P_n the polynomial of ``odd_series_coefficients``, summed
     in powers of s up to 1.4R and of 2R - s above it, where it keeps full
     relative accuracy. Every other n is the one-ball case of ``_balls_pdf``,
-    one incomplete-beta evaluation per lane. The beta function is fed the
-    exact pair x = ((2R - s)/2R)((2R + s)/2R), y = s^2/4R^2, so the value
-    keeps full relative accuracy for every R up to s = 2R, and lanes where
-    I_x underflows or (s/R)^(n-1) overflows (n > 1024) are formed in log
-    space.
+    one incomplete-beta evaluation per lane (``_cap_beta``), fed the exact
+    pair x = ((2R - s)/2R)((2R + s)/2R), y = s^2/4R^2, so the value keeps
+    full relative accuracy for every R up to s = 2R, and lanes where I_x
+    underflows or (s/R)^(n-1) overflows (n > 1024) are formed in log space.
     """
     n = geometry.dimension
     if n % 2 and n <= _ODD_POLYNOMIAL_MAX_N:
@@ -347,11 +523,15 @@ def _hypergeometric_value(n: int, R: float, s: float) -> float:
     return 2.0 * n / b * s ** (n - 1) / R ** (n + 1) * bracket
 
 
-def pdf_uniform_repr(geometry: BallGeometry, s: float, representation: Representation) -> float:
-    """P_n(s) through any single representation; parity mismatches raise."""
+def pdf_uniform_repr(geometry: BallGeometry, s, representation: Representation):
+    """P_n(s) through any single representation; parity mismatches raise.
+    ``s`` is a float, or for REG_INC_BETA also an ndarray (the cap kernel of
+    ``_balls_pdf``, which gives each element the bits of its float call)."""
     _as_support(geometry, s)
     n, R = geometry.dimension, geometry.radius
     rep = Representation(representation)
+    if rep is Representation.REG_INC_BETA:
+        return _balls_pdf(geometry, ((R, 1.0),), s)
     if rep is Representation.ODD_SERIES and n % 2 == 0:
         raise InvalidRepresentationError("odd series is only valid for odd n")
     if rep is Representation.EVEN_SERIES and n % 2 == 1:
@@ -359,8 +539,6 @@ def pdf_uniform_repr(geometry: BallGeometry, s: float, representation: Represent
     if s == 0.0:
         return 1.0 / R if n == 1 else 0.0
 
-    if rep is Representation.REG_INC_BETA:
-        return _balls_pdf(geometry, ((R, 1.0),), s)
     if rep is Representation.INC_BETA:
         x = _x_of(geometry, s)
         bx = 0.0 if x <= 0.0 else inc_beta(x, (n + 1) / 2.0, 0.5)

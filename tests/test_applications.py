@@ -255,6 +255,22 @@ def test_nunubar_uniform_scales_with_pairs_and_couplings():
         == pytest.approx(0.5 * base, rel=1e-13)
 
 
+@pytest.mark.parametrize("R,rc", [(1.0, 0.01), (1.0, 1.0), (1.0, 1.99), (1.0, 1.9999),
+                                  (3.0, 5.999), (0.7, 1.3), (1e100, 1e-200), (1e-60, 1.5e-60)])
+def test_nunubar_uniform_against_mpmath(R, rc):
+    # the bracket's four terms cancel as r_c -> 2R (3.3e-9 and 5.8e-4 off at
+    # 1.99R and 1.9999R); 3 (2R - r_c)^3 / (16 r_c^2 R^6) does not, and leaves
+    # the double range only in intermediate factors at the extreme radii
+    with mp.workdps(50):
+        Rm, rcm = mp.mpf(R), mp.mpf(rc)
+        want = 3 * 3 * (2 * Rm - rcm) ** 3 / (16 * rcm ** 2 * Rm ** 6) / (4 * mp.pi ** 3)
+    got = neutrino_self_energy_uniform(R, rc, 3)
+    tol = 1e-14 if 1e-10 < R < 1e10 else 1e-12  # log space beyond
+    assert got == pytest.approx(float(want), rel=tol, abs=0.0)
+    assert neutrino_self_energy_uniform(R, rc, 3, a2=-1.0) == -got
+    assert neutrino_self_energy_uniform(R, rc, 3, a2=0.0) == 0.0
+
+
 def test_nunubar_gaussian_matches_quadrature():
     sigma, rc = 1.0, 0.1
     gb = GaussianBall(3, sigma)

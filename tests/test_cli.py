@@ -225,6 +225,7 @@ EVALUATOR_ROUTES = [
     (3, "radial-poly:0,0,1", None), (3, "parabolic:0.5", None), (3, "shells:0.5,1.0;1,2", None),
     (2, "monomial:4,4", None), (3, "monomial:2,2,2", None), (4, "monomial:4,0,0,0", None),
     (4, "parabolic:0.5", None), (2, "monomial:2,2", None), (3, "uniform", "hypergeometric"),
+    (2, "uniform", "reg_inc_beta"),
 ]
 
 
@@ -304,6 +305,35 @@ def test_pdf_blocks_match_one_whole_evaluation(tmp_path, argv):
         want.write("s,analytic_density\n")
         cli._write_rows(want, grid, evaluator(grid))
         with open(tmp_path / "p.csv", newline="") as fh:
+            assert fh.read() == want.getvalue(), grid_len
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_pdf_reg_inc_beta_evaluates_whole_blocks(tmp_path, monkeypatch, n):
+    # the representation is the cap kernel itself, called once per block
+    # instead of once per point, with the per-point route's bytes
+    from nballdist import cli, uniform
+    geometry = BallGeometry(n, 3.0)
+    rep = uniform.Representation.REG_INC_BETA
+    per_point = cli._pointwise(lambda s: uniform.pdf_uniform_repr(geometry, s, rep))
+    calls = []
+    route = uniform.pdf_uniform_repr
+
+    def counting(*args):
+        calls.append(np.shape(args[1]))
+        return route(*args)
+    monkeypatch.setattr(uniform, "pdf_uniform_repr", counting)
+    for grid_len, blocks in ((1, [(1,)]), (cli._PDF_BLOCK + 1, [(cli._PDF_BLOCK,), (1,)])):
+        calls.clear()
+        assert run(tmp_path, "pdf", "-n", str(n), "-R", "3", "--density", "uniform",
+                   "--representation", "reg_inc_beta", "--grid", str(grid_len),
+                   "-o", "r.csv") == 0
+        assert calls == blocks
+        grid = np.linspace(0.0, geometry.diameter, grid_len)
+        want = io.StringIO()
+        want.write("s,analytic_density\n")
+        cli._write_rows(want, grid, per_point(grid))
+        with open(tmp_path / "r.csv", newline="") as fh:
             assert fh.read() == want.getvalue(), grid_len
 
 
@@ -417,6 +447,15 @@ def test_energy_kinds(tmp_path, capsys):
                "--sigma", "1") == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(
         1.0 / math.sqrt(math.pi))
+
+
+def test_energy_nunubar_tiny_hardcore_in_range(tmp_path, capsys):
+    # r_c^2 R^3 underflows, but W = 3 * 3 (2R - r_c)^3 / (16 r_c^2 R^6) / (4 pi^3)
+    # is about 3.6e98
+    assert run(tmp_path, "energy", "--kind", "nunubar", "-N", "3", "-R", "1e100",
+               "--hardcore", "1e-200") == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value == pytest.approx(3.6282976237349425e98, rel=1e-12)
 
 
 def test_energy_domain_error_exit_3(tmp_path):

@@ -425,6 +425,18 @@ def test_shells_caps_underflow_near_the_diameter():
                 assert pdf_multishell(BallGeometry(n, 1.0), MultiShell((0.5, 1.0), (1.0, 2.0)), x) == v
 
 
+@pytest.mark.parametrize("density", [Uniform(), ParabolicRadial(0.5)])
+def test_uniform_and_parabolic_profiles_at_extreme_radii(density):
+    # beyond 2^(+-32) they are evaluated on the unit ball, P(s; R) = P(s/R; 1)/R;
+    # at R = 1e160 both raised PrecisionError, and at R = 1e-160 the parabolic
+    # profile raised IntegrationWarning and the uniform one read 1.7e-5 off
+    t = np.array([1e-3, 0.3, 1.0, 1.7, 1.999])
+    base = pdf_radial_numeric(BallGeometry(4, 1.0), density, t)
+    for R in (1e-160, 1e-40, 1e-5, 3.0, 1e5, 1e40, 1e160):
+        got = R * pdf_radial_numeric(BallGeometry(4, R), density, R * t)
+        np.testing.assert_allclose(got, base, rtol=2e-12, atol=0.0, err_msg=str(R))
+
+
 @pytest.mark.parametrize("n", [1100, 1500])
 def test_shells_past_n1024_are_finite(n):
     # (s/R)^(n-1) overflows near s = 2R once n > 1024, so these lanes are

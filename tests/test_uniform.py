@@ -144,13 +144,99 @@ def test_odd_polynomial_at_extreme_radii(R):
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 50, 200])
 def test_pdf_uniform_across_the_complement_switch(n):
     # I_x((n+1)/2, 1/2) comes from 1 - I_y(1/2, (n+1)/2) up to the median of
-    # Beta(1/2, (n+1)/2) in y = s^2/4R^2 and from betaincc beyond it
+    # Beta(1/2, (n+1)/2) in y = s^2/4R^2 and from the incomplete-gamma series
+    # (betaincc below n = 9) beyond it
     from scipy import special
     y_med = special.betaincinv(0.5, (n + 1) / 2.0, 0.5)
     s = 2.0 * np.sqrt(y_med * np.array([0.5, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1, 2.0]))
     got = pdf_uniform(BallGeometry(n, 1.0), s)
     for v, x in zip(got, s):
         assert v == pytest.approx(float(_pdf_uniform_mpmath(n, float(x))), rel=1e-12, abs=0.0), (n, x)
+
+
+def test_phi_coefficients_are_the_exact_taylor_coefficients():
+    # phi(tau) = (tau / (1 - exp(-tau)))^(1/2), the kernel of the series
+    from nballdist.uniform import _PHI, _SERIES_TERMS, _phi_coefficients
+    exact = _phi_coefficients(_SERIES_TERMS)
+    assert exact[:4] == [F(1), F(1, 4), F(1, 96), F(-1, 384)]
+    with mp.workdps(60):
+        taylor = mp.taylor(lambda t: mp.sqrt(t / -mp.expm1(-t)) if t else mp.mpf(1), 0,
+                           _SERIES_TERMS)
+        for c, want in zip(exact, taylor):
+            assert abs(mp.mpf(c.numerator) / c.denominator - want) < mp.mpf(10) ** -50
+    assert _PHI == tuple(float(c) for c in exact)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5, 5.0, 25.5, 500.5, 4096.0, 4096.5, 4097.0, 4097.5,
+                               10000.5, 1e6])
+def test_inverse_beta_half_against_mpmath(a):
+    # exact rationals up to m = 4096, the asymptotic series beyond
+    from nballdist.uniform import _inverse_beta_half
+    with mp.workdps(50):
+        want = 1 / mp.beta(mp.mpf(a), mp.mpf(1) / 2)
+        assert abs(mp.mpf(_inverse_beta_half(a)) / want - 1) < 4.5e-16
+
+
+@pytest.mark.parametrize("a", [5.0, 5.5, 8.0, 14.5, 15.0, 25.5, 100.5, 1000.5])
+def test_band_series_against_mpmath(a):
+    # the lanes between the median of Beta(1/2, a) in y and x = 1/2, fed
+    # exact doubles x (x_lo = 0) and their exact complements y
+    from nballdist.uniform import _band_series, _beta_median
+    x = 1.0 - np.linspace(_beta_median(a), 0.5, 41)
+    y = 1.0 - x
+    got = _band_series(a, np.sqrt(y), x, np.zeros_like(x))
+    with mp.workdps(50):
+        for xi, v in zip(x, got):
+            want = mp.betainc(a, 0.5, 0, mp.mpf(xi), regularized=True)
+            assert abs(mp.mpf(v) / want - 1) < 2e-15, (a, xi)
+
+
+def test_cap_argument_is_a_double_double():
+    from nballdist.uniform import _cap_argument
+    for r in (1.0, 0.7, 3.0, 1e-200, 1e250):
+        h = r * np.array([0.03, 0.3, 0.7071, 0.9, 0.999999, 1.0 - 2.0 ** -50])
+        t, x_hi, x_lo = _cap_argument(r, -h)
+        for hi, v, lo in zip(h, x_hi, x_lo):
+            exact = 1 - (F(hi) / F(r)) ** 2
+            assert abs((F(v) + F(lo)) - exact) < F(1, 2 ** 104), (r, hi)
+        assert np.array_equal(t, np.abs(h) / r)
+
+
+@pytest.mark.parametrize("n", [2, 10, 50, 1100])
+def test_each_lane_is_independent_of_the_others(n):
+    # a float call gives the bits of the same s inside an array, in every
+    # lane class: subtraction, series band, far lanes with their x_lo term,
+    # and the log-space lanes near 2R
+    from nballdist import pdf_multishell
+    from nballdist.core import MultiShell
+    for R in (0.7, 1.0, 3.0):
+        g = BallGeometry(n, R)
+        s = np.concatenate([np.linspace(0.0, 2.0 * R, 129),
+                            2.0 * R - R * np.geomspace(1e-12, 1e-2, 12)])
+        got = pdf_uniform(g, s)
+        assert np.array_equal(got, [pdf_uniform(g, float(v)) for v in s]), (n, R)
+        shells = MultiShell((0.5 * R, R), (1.0, 2.0))
+        got = pdf_multishell(g, shells, s)
+        assert np.array_equal(got, [pdf_multishell(g, shells, float(v)) for v in s]), (n, R)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(n=st.integers(1, 2000), R=st.sampled_from([0.7, 1.0, 3.0]),
+       where=st.sampled_from(["near 0", "interior", "near 2R"]), u=st.floats(0.0, 1.0))
+def test_pdf_uniform_property_against_mpmath(n, R, where, u):
+    # the README's bound, 1e-12 relative, in every dimension and at both ends
+    if where == "near 0":
+        s = R * 10.0 ** (-8.0 + 7.0 * u)
+    elif where == "interior":
+        s = R * (0.1 + 1.8 * u)
+    else:
+        s = 2.0 * R - R * 10.0 ** (-12.0 + 10.0 * u)
+    got = pdf_uniform(BallGeometry(n, R), s)
+    want = _pdf_uniform_mpmath(n, s, R)
+    if want < 1e-300:
+        assert 0.0 <= got <= 1e-300
+    else:
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), (n, R, s)
 
 
 @pytest.mark.parametrize("n,s", [(1000, 1.9), (1000, 1.5), (1500, 1.2), (1500, 1.9)])
