@@ -166,7 +166,3 @@ class CounterStream:
                 trig(u2, out=part)
                 np.multiply(part, u1, out=part)
         return out[:k] if window is None else out[:2 * b]
-
-    def spawn(self, stream: int) -> "CounterStream":
-        """Fresh substream of the same seed, starting at counter 0."""
-        return CounterStream(self.seed, stream)

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ._rng import CounterStream
-from ._series import eval_split_at_2r, poly_eval, reexpand
+from ._series import ball_polynomial, poly_eval
 from .core import (
     BallGeometry,
     DensityModel,
@@ -440,14 +441,12 @@ _EX3_POLY = {2: Fraction(1701, 143), 3: Fraction(-25515, 572), 4: Fraction(8505,
              8: Fraction(9), 9: Fraction(201285, 9152), 11: Fraction(-181629, 18304),
              13: Fraction(16443, 6656), 15: Fraction(-6075, 18304),
              17: Fraction(10899, 585728)}
+_ex3_polynomial = lru_cache(maxsize=64)(partial(ball_polynomial, _EX3_POLY))
 
 _EX4_POLY = {3: Fraction(56, 3), 5: Fraction(48), 7: Fraction(8)}
 _EX4_SQRT = {4: Fraction(196, 3), 6: Fraction(114, 5), 8: Fraction(28, 15),
              10: Fraction(-4, 5), 12: Fraction(2, 9), 14: Fraction(-1, 45)}
 _EX4_ASIN = {3: Fraction(112, 3), 5: Fraction(96), 7: Fraction(16)}
-
-
-_EX3_AT_2R = reexpand(_EX3_POLY, 2)
 
 
 def _root_and_asin(geometry: BallGeometry, s) -> tuple:
@@ -474,14 +473,11 @@ def pdf_example_2d(geometry: BallGeometry, s):
 
 
 def pdf_example_3d(geometry: BallGeometry, s):
-    """P_3(s) for the density rho ~ x^2 y^2 z^2 in a 3-ball (degree-17
-    polynomial, summed in powers of 2R - s above s = 1.4R); s a float or an
-    ndarray."""
+    """P_3(s) for the density rho ~ x^2 y^2 z^2 in a 3-ball, a degree-17
+    polynomial summed by ``PiecewisePolynomial``; s a float or an ndarray."""
     if geometry.dimension != 3:
         raise UnsupportedError("this closed form is for n = 3")
-    s = _as_support(geometry, s)
-    out = eval_split_at_2r(_EX3_POLY, _EX3_AT_2R, s, geometry.radius)
-    return out if out.ndim else float(out)
+    return _ex3_polynomial(geometry.radius)(_as_support(geometry, s))
 
 
 def pdf_example_4d(geometry: BallGeometry, s):

@@ -175,6 +175,10 @@ def cmd_pdf(args) -> int:
     grid = np.linspace(0.0, geometry.diameter, args.grid)
     out = _out_path(args.output)
     outputs = [out]
+    # formed first, so a sidecar out of the double range stops the run before any write
+    sidecar = None
+    if isinstance(density, MultiShell) and geometry.dimension == 3:
+        sidecar = symmetric.multishell_polynomial(geometry, density).to_json(indent=2, sort_keys=True) + "\n"
     # Written block by block, so only the grid is held whole. Rows go to a
     # temporary file first: an evaluator that fails part way leaves no
     # partial CSV, and an older file of the same name stands.
@@ -189,12 +193,10 @@ def cmd_pdf(args) -> int:
     finally:
         if os.path.exists(partial):
             os.remove(partial)
-    if isinstance(density, MultiShell) and geometry.dimension == 3:
-        poly = symmetric.multishell_polynomial(geometry, density)
+    if sidecar is not None:
         shells_path = os.path.splitext(out)[0] + ".shells.json"
         with open(shells_path, "w", newline="\n") as fh:
-            fh.write(poly.to_json(indent=2, sort_keys=True))
-            fh.write("\n")
+            fh.write(sidecar)
         outputs.append(shells_path)
     params = {"dimension": args.dimension, "radius": args.radius,
               "density": args.density, "grid": args.grid,

@@ -312,10 +312,12 @@ def density_bound(model: DensityModel, geometry: BallGeometry) -> float:
         return float(model.bound)
     if isinstance(model, RadialPolynomial):
         _check_nonnegative(model, geometry)
-        # Grid maximum with a safety margin; every accepted candidate is also
-        # checked against the bound at sampling time.
-        vals = density_radial_value(model, np.linspace(0.0, R, 4097))
-        return float(np.max(vals)) * (1.0 + 1e-9) + 1e-300
+        # Maximum over a grid and the roots of p' inside the ball, with a margin;
+        # every accepted candidate is also checked against the bound when sampled.
+        poly = np.polynomial.polynomial
+        roots = poly.polyroots(poly.polyder(model.coefficients)).real
+        r = np.concatenate([np.linspace(0.0, R, 4097), roots[(roots > 0.0) & (roots < R)]])
+        return float(np.max(density_radial_value(model, r))) * (1.0 + 1e-9) + 1e-300
     raise InvalidDensityError(f"no bound rule for {type(model).__name__}")
 
 

@@ -15,11 +15,10 @@ one-ball case is ``pdf_uniform``.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .core import (
     log_gamma,
     log_sphere_area,
 )
-from ._series import eval_split_at_2r, reexpand
+from ._series import PiecewisePolynomial, ball_polynomial
 # quad imports scipy.integrate on its first call
 from .uniform import _balls_pdf, quad
 
@@ -69,24 +68,21 @@ __all__ = [
 
 _R2_COEFFS = {2: Fraction(25, 7), 3: Fraction(-25, 4), 4: Fraction(5),
               5: Fraction(-25, 16), 9: Fraction(5, 448)}
-_R2_AT_2R = reexpand(_R2_COEFFS, 2)
+_r2_polynomial = lru_cache(maxsize=64)(partial(ball_polynomial, _R2_COEFFS))
 
 
 def pdf_radial_r2(geometry: BallGeometry, s):
-    """P_3(s) for the radial density rho ~ r^2 in a 3-ball (degree-9
-    polynomial, summed in powers of 2R - s above s = 1.4R); s a float or an
-    ndarray."""
+    """P_3(s) for the radial density rho ~ r^2 in a 3-ball, a degree-9
+    polynomial summed by ``PiecewisePolynomial``; s a float or an ndarray."""
     if geometry.dimension != 3:
         raise UnsupportedError("the rho ~ r^2 closed form is only available for n = 3")
-    s = _as_support(geometry, s)
-    out = eval_split_at_2r(_R2_COEFFS, _R2_AT_2R, s, geometry.radius)
-    return out if out.ndim else float(out)
+    return _r2_polynomial(geometry.radius)(_as_support(geometry, s))
 
 
 @lru_cache(maxsize=64)
-def _parabolic_tables(alpha: float) -> tuple:
+def _parabolic_polynomial(alpha: float, radius: float) -> PiecewisePolynomial:
     """The printed coefficients of the parabolic family at ``alpha``, exact
-    from Fraction(alpha), and their re-expansion about s = 2R."""
+    from Fraction(alpha), on the ball of ``radius``."""
     a = Fraction(alpha)
     d = 5 - 3 * a
     table = {2: 15 * (35 - 42 * a + 15 * a * a) / (7 * d * d),
@@ -95,22 +91,18 @@ def _parabolic_tables(alpha: float) -> tuple:
              5: 75 * (1 + 6 * a - 3 * a * a) / (16 * d * d),
              7: -15 * a / (8 * d * d),
              9: 45 * a * a / (448 * d * d)}
-    table = {k: c for k, c in table.items() if c}
-    return table, reexpand(table, 2)
+    return ball_polynomial({k: c for k, c in table.items() if c}, radius)
 
 
 def pdf_radial_parabolic(geometry: BallGeometry, alpha: float, s):
     """P_3(s) for rho ~ 1 - alpha (r/R)^2, alpha in [0, 1]; alpha = 0 is the
-    uniform ball. A degree-9 polynomial, summed in powers of 2R - s above
-    s = 1.4R; ``s`` is a float or an ndarray."""
+    uniform ball. A degree-9 polynomial summed by ``PiecewisePolynomial``;
+    ``s`` is a float or an ndarray."""
     if geometry.dimension != 3:
         raise UnsupportedError("the parabolic closed form is only available for n = 3")
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
-    s = _as_support(geometry, s)
-    table, at_2r = _parabolic_tables(float(alpha))
-    out = eval_split_at_2r(table, at_2r, s, geometry.radius)
-    return out if out.ndim else float(out)
+    return _parabolic_polynomial(float(alpha), geometry.radius)(_as_support(geometry, s))
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +274,6 @@ def _radial_kernel(geometry: BallGeometry, density: DensityModel, epsabs: float,
     return at
 
 
-def _radial_unnormalized(geometry: BallGeometry, density: DensityModel, s: float,
-                         epsabs: float, log_scale: float = 0.0) -> float:
-    """``_radial_kernel(geometry, density, epsabs, log_scale)`` at one s."""
-    return _radial_kernel(geometry, density, epsabs, log_scale)(s)
-
-
 def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s,
                        tol: float = 1e-8):
     """P_n(s) for an arbitrary radial density; s a float or an ndarray (a
@@ -390,87 +376,6 @@ def gaussian_mode(gaussian: GaussianBall) -> float:
 # ---------------------------------------------------------------------------
 # Multi-shell models: exact piecewise polynomials
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PiecewisePolynomial:
-    """Exact piecewise polynomial on [0, 2R]: ``pieces[i]`` holds Fraction
-    coefficients (index = power of s) valid on [breakpoints[i], breakpoints[i+1]].
-
-    Called on floats, a piece on [a, b] is summed in powers of a - s on its
-    lower half and of b - s on its upper half, from its exact re-expansions
-    about a and b: near 2R, where the powers of s cancel, those of 2R - s
-    keep full relative accuracy."""
-    breakpoints: tuple
-    pieces: tuple
-
-    def __post_init__(self):
-        if len(self.pieces) != len(self.breakpoints) - 1:
-            raise ValueError("need exactly one piece per breakpoint interval")
-
-    def piece_index(self, s: float) -> int:
-        edges = self._float_pieces[0]
-        if not (edges[0] <= s <= edges[-1]):
-            raise DomainError(f"s={s!r} outside [{edges[0]}, {edges[-1]}]")
-        i = int(np.searchsorted(edges, s, side="right")) - 1
-        return min(max(i, 0), len(self.pieces) - 1)
-
-    @cached_property
-    def _float_pieces(self) -> tuple:
-        """Breakpoints, and per piece its coefficients as floats in powers of
-        a - s and of b - s, re-expanded exactly about its float ends a and b
-        (so that b - s is exact on the upper half); built once."""
-        edges = np.array([float(b) for b in self.breakpoints])
-        ends = zip(edges[:-1].tolist(), edges[1:].tolist())
-        return edges, [[reexpand(dict(enumerate(coeffs)), Fraction(end)) for end in pair]
-                       for coeffs, pair in zip(self.pieces, ends)]
-
-    def __call__(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        edges, pieces = self._float_pieces
-        idx = np.clip(np.searchsorted(edges, s_arr, side="right") - 1, 0, len(pieces) - 1)
-        top = s_arr > 0.5 * (edges[idx] + edges[idx + 1])
-        out = np.zeros_like(s_arr)
-        for i, ends in enumerate(pieces):
-            for half, end, coeffs in zip((~top, top), edges[i:i + 2], ends):
-                mask = (idx == i) & half
-                if np.any(mask):
-                    out[mask] = np.polynomial.polynomial.polyval(end - s_arr[mask], coeffs)
-        return out if out.ndim else float(out)
-
-    def evaluate_exact(self, s) -> Fraction:
-        s = Fraction(s)
-        i = self.piece_index(float(s))
-        return sum((c * s ** k for k, c in enumerate(self.pieces[i])), Fraction(0))
-
-    def integral(self) -> Fraction:
-        """Exact integral over the full breakpoint range."""
-        total = Fraction(0)
-        for (lo, hi), coeffs in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            lo, hi = Fraction(lo), Fraction(hi)
-            total += sum(c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-                         for k, c in enumerate(coeffs))
-        return total
-
-    def continuity_jumps(self) -> list:
-        """Value jumps at the interior breakpoints (exact)."""
-        jumps = []
-        for i in range(1, len(self.breakpoints) - 1):
-            b = Fraction(self.breakpoints[i])
-            left = sum((c * b ** k for k, c in enumerate(self.pieces[i - 1])), Fraction(0))
-            right = sum((c * b ** k for k, c in enumerate(self.pieces[i])), Fraction(0))
-            jumps.append(right - left)
-        return jumps
-
-    def to_json_dict(self, width: int = 10) -> dict:
-        return {
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "pieces": [[float(c) for c in coeffs] + [0.0] * (width - len(coeffs))
-                       for coeffs in self.pieces],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
 
 def _poly_add(dst: list, src: list, scale: Fraction) -> None:
     while len(dst) < len(src):

@@ -7,9 +7,11 @@ shell PDF in any dimension), evaluated in exact rational arithmetic where
 the comparison demands it. The shell PDF also has a second, independent
 oracle: nested adaptive quadrature of the overlap integral, and so do
 smooth radial profiles, whose slice integral the package takes in closed
-form. The random number stream has a one-shot oracle: ``OneShotStream``
-draws words, uniforms and normals in single whole-array passes, the form
-the blocked ``CounterStream`` must reproduce bit for bit. On top of it, the direct
+form. The polynomial tables (odd-n uniform ball, rho ~ r^2, the parabolic
+family, x^2 y^2 z^2) keep their former float evaluator, split at 1.4R.
+The random number stream has a one-shot oracle: ``OneShotStream`` draws
+words, uniforms and normals in single whole-array passes, the form the
+blocked ``CounterStream`` must reproduce bit for bit. On top of it, the direct
 samplers (uniform ball, Gaussian, shells) are written as whole-batch draws,
 the form every pair window of ``sample_density`` must reproduce bit for bit.
 
@@ -163,6 +165,27 @@ def nonzero(table: dict) -> dict:
     """Reference-table dict with structural zeros removed (coefficients can
     vanish for particular density values)."""
     return {k: c for k, c in table.items() if c != 0}
+
+
+# ---------------------------------------------------------------------------
+# Printed polynomial tables summed in floats at a fixed split
+# ---------------------------------------------------------------------------
+
+def split_at_1p4r(table: dict, s, R: float):
+    """sum_k c_k s^k / R^(k+1) (``table`` maps k to the Fraction c_k) on
+    s in [0, 2R]: in powers of s/R up to 1.4R, and above it in powers of
+    (2R - s)/R from the exact re-expansion about 2R. The float evaluator of
+    the printed and odd-n tables before one bound-split evaluator took them
+    over; the package must be no less accurate."""
+    s = np.asarray(s, dtype=float)
+    at_2r = [F(0)] * (max(table) + 1)
+    for k, c in table.items():
+        for j in range(k + 1):
+            at_2r[j] += c * math.comb(k, j) * 2 ** (k - j) * (-1) ** j
+    t = s / R
+    low = sum(float(c) * np.power(t, k) for k, c in table.items()) / R
+    high = np.polynomial.polynomial.polyval((2.0 * R - s) / R, [float(d) for d in at_2r]) / R
+    return np.where(s > 1.4 * R, high, low)
 
 
 # ---------------------------------------------------------------------------

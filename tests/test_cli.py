@@ -162,6 +162,30 @@ def test_pdf_shells_continuous_and_emits_polynomial(tmp_path):
     assert "sh.shells.json" in manifest["outputs"]
 
 
+@pytest.mark.parametrize("R,shells", [("1e100", "shells:5e99,1e100;1,2"),
+                                      ("1e-100", "shells:5e-101,1e-100;1,2")])
+def test_pdf_shell_sidecar_out_of_range_exit_3(tmp_path, R, shells):
+    # the sidecar's absolute coefficients leave the double range (raw
+    # OverflowError at 1e-100, silent zeros at 1e100); the run stops before
+    # it writes anything
+    assert run(tmp_path, "pdf", "-n", "3", "-R", R, "--density", shells,
+               "--grid", "11", "-o", "sh.csv") == 3
+    assert os.listdir(tmp_path) == []
+
+
+def test_compare_shells_at_huge_radius(tmp_path):
+    # in absolute units the analytic curve was up to 80 % off here (exit 4)
+    assert run(tmp_path, "compare", "-n", "3", "-R", "1e100", "--density", "shells:5e99,1e100;1,2",
+               "--pairs", "200000", "--seed", "42", "-o", "big") == 0
+
+
+def test_compare_radial_poly_interior_maximum(tmp_path):
+    # the rejection bound missed this profile's maximum at r^2 = R^2/2, and
+    # the sampler's check stopped the run (exit 3)
+    assert run(tmp_path, "compare", "-n", "4", "--density", "radial-poly:1,0,1,0,-1",
+               "--pairs", "100000", "--seed", "42", "-o", "rp") == 0
+
+
 @pytest.mark.parametrize("n", ["1", "4"])
 def test_pdf_shells_numeric_route_endpoints(tmp_path, n):
     assert run(tmp_path, "pdf", "-n", n, "--density", "shells:0.5,1.0;1,2",
@@ -560,7 +584,7 @@ def test_compare_shells_other_dimension_skips_numeric_route(tmp_path, monkeypatc
         calls.append(args)
         return 1.0
     monkeypatch.setattr(symmetric, "pdf_radial_numeric", counting)
-    monkeypatch.setattr(symmetric, "_radial_unnormalized", counting)
+    monkeypatch.setattr(symmetric, "_radial_kernel", counting)
     assert run(tmp_path, "compare", "-n", "4", "--density", "shells:0.5,1.0;1,2",
                "--pairs", "20000", "--bins", "64", "--seed", "42", "-o", "sh4") == 0
     assert calls == []

@@ -187,6 +187,23 @@ def test_rejection_efficiency_error():
         sample_density(G3, nearly_zero, SamplerConfig(seed=1, count=10_000))
 
 
+@pytest.mark.parametrize("coeffs,top", [((2.0, 0.0, 1.0, 0.0, -1.0), 2.25),
+                                        ((1.0, 0.0, 1.0, 0.0, -1.0), 1.25),
+                                        ((1.0, 2.0, -3.0), 4.0 / 3.0)])
+def test_radial_polynomial_bound_covers_interior_maximum(coeffs, top):
+    # a grid of 4097 radii alone missed these maxima by 4e-9 to 1.4e-8,
+    # beyond the sampler's 1e-9 check on every candidate
+    from nballdist.core import density_bound
+    bound = density_bound(RadialPolynomial(coeffs), BallGeometry(4, 1.0))
+    assert top <= bound <= top * (1.0 + 2e-9)
+
+
+def test_radial_r2_bound_unchanged():
+    # its maximum sits at r = R, on the grid: the mc_rejection stream stays put
+    from nballdist.core import density_bound
+    assert density_bound(RadialPolynomial((0.0, 0.0, 1.0)), G3) == 1.0 * (1.0 + 1e-9) + 1e-300
+
+
 def test_bad_bound_detected():
     lying = GeneralCartesian(lambda pts: np.ones(pts.shape[0]), bound=0.1)
     with pytest.raises(Exception):

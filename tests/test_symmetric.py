@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 import reference_forms as ref
 from nballdist.core import density_mass, sphere_area
-from nballdist.symmetric import _radial_unnormalized, _shells_pdf
+from nballdist.symmetric import _radial_kernel, _shells_pdf
 from nballdist import (
     BallGeometry,
     DomainError,
@@ -20,6 +20,7 @@ from nballdist import (
     InvalidDensityError,
     MultiShell,
     ParabolicRadial,
+    PrecisionError,
     RadialPolynomial,
     Uniform,
     UnsupportedError,
@@ -144,8 +145,7 @@ def test_numeric_matches_parabolic():
 def test_numeric_kernel_integrates_to_exact_norm(n):
     g = BallGeometry(n, 1.0)
     density = ParabolicRadial(0.5)
-    total, _ = quad(lambda s: _radial_unnormalized(g, density, s, 1e-8), 0.0, 2.0,
-                    epsabs=1e-6, limit=200)
+    total, _ = quad(_radial_kernel(g, density, 1e-8), 0.0, 2.0, epsabs=1e-6, limit=200)
     # the half-lens kernel without the direction measure carries 1/(2 |S^(n-1)|)
     exact = density_mass(density, g) ** 2 / (2.0 * sphere_area(n))
     assert total == pytest.approx(exact, rel=1e-6)
@@ -636,3 +636,116 @@ def test_json_serialization_schema():
     s = 0.75
     val = sum(c * s ** k for k, c in enumerate(doc["pieces"][1]))
     assert val == pytest.approx(pdf_multishell(G3, equal_thickness_shells((1, 2), 1), s), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# One float evaluator for every exact polynomial
+# ---------------------------------------------------------------------------
+
+def _polynomial_tables():
+    """name -> (table at R = 1, dimension, evaluator) for every printed or
+    odd-n table that ``PiecewisePolynomial`` sums."""
+    from nballdist.arbitrary import _EX3_POLY, pdf_example_3d
+    from nballdist.symmetric import _R2_COEFFS, _parabolic_polynomial
+    from nballdist.uniform import odd_series_coefficients
+    tables = {f"odd {n}": (odd_series_coefficients(n), n, pdf_uniform) for n in (3, 5, 7, 9)}
+    tables["r2"] = (_R2_COEFFS, 3, pdf_radial_r2)
+    for alpha in (0.3, 1.0):
+        table = {k: c for k, c in enumerate(_parabolic_polynomial(alpha, 1.0).pieces[0]) if c}
+        tables[f"parabolic {alpha}"] = (
+            table, 3, lambda g, s, alpha=alpha: pdf_radial_parabolic(g, alpha, s))
+    tables["x2y2z2"] = (_EX3_POLY, 3, pdf_example_3d)
+    return tables
+
+
+_TABLES = _polynomial_tables()
+# the interior, the last decades before 2R, and the band where the former
+# evaluator changed expansions
+_SWEEP = np.concatenate([np.linspace(1e-3, 1.999999, 201), 2.0 - np.logspace(-7, -1, 13),
+                         np.linspace(0.9, 1.5, 61)])
+
+
+def _exact_table(table: dict, s, R: float) -> np.ndarray:
+    R = F(R)
+    out = []
+    for v in s:
+        t, acc = F(float(v)) / R, F(0)
+        for k in range(max(table), -1, -1):
+            acc = acc * t + table.get(k, 0)
+        out.append(float(acc / R))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("R", [1.0, 0.7, 3.0, 1e-100, 1e100])
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_polynomial_tables_no_worse_than_fixed_split(name, R):
+    # the split where the two expansions' rounding bounds meet (1.09-1.45R
+    # for these tables) against the former fixed 1.4R split
+    table, n, evaluate = _TABLES[name]
+    s = _SWEEP * R
+    want = _exact_table(table, s, R)
+    got = evaluate(BallGeometry(n, R), s)
+    err = np.max(np.abs(got - want) / want)
+    oracle = np.max(np.abs(ref.split_at_1p4r(table, s, R) - want) / want)
+    assert err <= oracle, (err, oracle)
+    assert err < (2e-13 if name == "x2y2z2" else 2e-14)
+
+
+_SHELL_SETS = [((F(1, 2), F(1)), (1, 2)),
+               ((F(1, 4), F(1, 2), F(3, 4), F(1)), (1, 2, 3, 4)),
+               ((F(1, 3), F(1)), (2, 1)),
+               ((F(99999, 100000), F(1)), (0, 1))]
+
+
+@pytest.mark.parametrize("R", [1e100, 1e-100, 0.7])
+@pytest.mark.parametrize("shells", _SHELL_SETS)
+def test_shell_polynomial_at_every_radius(R, shells):
+    # in absolute units the coefficients left the double range: 0.16-0.8
+    # off at R = 1e100, OverflowError at R = 1e-100
+    radii, dens = shells
+    g = BallGeometry(3, R)
+    model = MultiShell(tuple(float(r) * R for r in radii), dens)
+    poly = multishell_polynomial(g, model)
+    s = list(_SWEEP[::4] * R)
+    for b in poly.breakpoints[1:-1]:
+        s += [float(b) * (1.0 + sign * d) for d in (1e-9, 1e-6) for sign in (-1, 1)]
+    s = np.array(s)
+    got = pdf_multishell(g, model, s)
+    want = np.array([float(poly.evaluate_exact(F(v))) for v in s])
+    live = want != 0.0
+    assert np.max(np.abs(got[live] - want[live]) / want[live]) <= 6.6e-16
+    assert np.all(got[~live] == 0.0)
+    if radii[-1] - radii[-2] > F(1, 1000):  # thin shells cancel in the cap-volume sum
+        assert R * got == pytest.approx(R * _shells_pdf(g, model, s), rel=1e-12, abs=1e-12)
+
+
+def test_polynomial_scalar_calls_match_array_elements():
+    s = np.array([0.0, 1e-3, 0.5, 1.1, 1.3, 1.45, 1.9, 1.999999, 2.0])
+    def shells(g, s):
+        R = g.radius
+        return pdf_multishell(g, MultiShell((0.25 * R, 0.5 * R, R), (3, 1, 2)), s)
+
+    for n, evaluate in [(n, e) for _, n, e in _TABLES.values()] + [(3, shells)]:
+        for R in (1.0, 0.7, 1e100):
+            g = BallGeometry(n, R)
+            whole = evaluate(g, s * R)
+            for i, v in enumerate(s * R):
+                one = evaluate(g, float(v))
+                assert isinstance(one, float)
+                assert one == whole[i], (n, R, v)
+
+
+def test_piecewise_polynomial_is_one_class():
+    import nballdist
+    from nballdist import _series, symmetric
+    assert nballdist.PiecewisePolynomial is symmetric.PiecewisePolynomial is _series.PiecewisePolynomial
+
+
+def test_shell_sidecar_refuses_coefficients_out_of_range():
+    # the s^5 coefficient of a shell piece scales as R^-6
+    for R in (1e100, 1e-100):
+        poly = multishell_polynomial(BallGeometry(3, R), MultiShell((0.5 * R, R), (1, 2)))
+        with pytest.raises(PrecisionError):
+            poly.to_json_dict()
+    doc = multishell_polynomial(BallGeometry(3, 1e20), MultiShell((5e19, 1e20), (1, 2))).to_json_dict()
+    assert all(c == 0.0 or abs(c) > 1e-300 for p in doc["pieces"] for c in p)

@@ -120,7 +120,8 @@ def test_pdf_uniform_against_mpmath(n, R):
 @pytest.mark.parametrize("R", [1.0, 3.0])
 def test_odd_series_near_2r_against_mpmath(n, R):
     # summed in powers of s the series was 2.1e-8 off at n = 3, s = 1.9999R;
-    # above 1.4R it is summed in powers of 2R - s
+    # PiecewisePolynomial sums it in powers of 2R - s above the split where
+    # the two expansions' rounding bounds meet (1.09-1.45R for n <= 9)
     g = BallGeometry(n, R)
     for t in (1e-6, 0.3, 1.0, 1.39, 1.41, 1.7, 1.99, 1.9999, 1.999999):
         s = t * R
