@@ -176,6 +176,16 @@ def _quad_levels(n: int, tol: float) -> tuple:
     return (32, 16, 20, 20, 24)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(k: int) -> tuple:
+    """Nodes and weights of the k-point Gauss-Legendre rule on [-1, 1],
+    computed once per k and returned read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _angular_rule(n: int, nodes: tuple) -> tuple:
     """Rotations (last row: the direction) and weights of a ``_quad_levels``
     rule: uniform in phi, times Gauss-Legendre in cos(theta) for n = 3."""
@@ -183,21 +193,22 @@ def _angular_rule(n: int, nodes: tuple) -> tuple:
     rots = _elementary_phi(n, 2.0 * math.pi * np.arange(nphi) / nphi)
     if n == 2:
         return rots, np.full(nphi, 2.0 * math.pi / nphi)
-    gl_c, gw_c = np.polynomial.legendre.leggauss(nodes[3])
+    gl_c, gw_c = _gauss_legendre(nodes[3])
     rots = (_elementary_theta(3, 1, np.arccos(gl_c))[:, None] @ rots[None]).reshape(-1, 3, 3)
     return rots, np.repeat(gw_c * 2.0 * math.pi / nphi, nphi)
 
 
-def _master_unnormalized_quad(geometry: BallGeometry, density: DensityModel,
-                              s: float, nodes: tuple) -> float:
+def _cap_rule(geometry: BallGeometry, s: float, nodes: tuple) -> tuple:
+    """Points X of the overlap cap {x_n >= s/2} of the unrotated frame and
+    their weights Wc: Gauss-Legendre in u = asin(x_n / R) over
+    [asin(s / 2R), pi / 2], times Gauss-Legendre across the slice (n = 2) or
+    in its polar radius, with uniform polar angles (n = 3)."""
     n, R = geometry.dimension, geometry.radius
-    if s >= 2.0 * R:
-        return 0.0
     if n == 2:
         nu, nv, _ = nodes
     else:
         nu, nt, npsi, _, _ = nodes
-    gl_u, gw_u = np.polynomial.legendre.leggauss(nu)
+    gl_u, gw_u = _gauss_legendre(nu)
     lo = math.asin(min(s / (2.0 * R), 1.0))
     uu = lo + (math.pi / 2.0 - lo) * (gl_u + 1.0) / 2.0
     wu = gw_u * (math.pi / 2.0 - lo) / 2.0
@@ -206,13 +217,13 @@ def _master_unnormalized_quad(geometry: BallGeometry, density: DensityModel,
     jac_u = R * np.cos(uu)           # dx_n = R cos(u) du
 
     if n == 2:
-        gl_v, gw_v = np.polynomial.legendre.leggauss(nv)
+        gl_v, gw_v = _gauss_legendre(nv)
         X = np.empty((nu * nv, 2))
         X[:, 0] = (w_perp[:, None] * gl_v[None, :]).ravel()
         X[:, 1] = np.repeat(xn, nv)
         Wc = ((wu * jac_u * w_perp)[:, None] * gw_v[None, :]).ravel()
     else:
-        gl_t, gw_t = np.polynomial.legendre.leggauss(nt)
+        gl_t, gw_t = _gauss_legendre(nt)
         tau = (gl_t + 1.0) / 2.0
         wt = gw_t / 2.0
         psis = 2.0 * math.pi * np.arange(npsi) / npsi
@@ -227,16 +238,40 @@ def _master_unnormalized_quad(geometry: BallGeometry, density: DensityModel,
             (wu * jac_u)[:, None, None]
             * (w_perp[:, None, None] ** 2 * tau[None, :, None] * wt[None, :, None])
             * wpsi, (nu, nt, npsi)).ravel()
+    return X, Wc
 
+
+# Cap points per rotation block: the block's rotated points, density values
+# and products stay below 0.5 MB.
+_QUAD_BLOCK_POINTS = 16384
+
+
+def _master_unnormalized_quad(geometry: BallGeometry, density: DensityModel,
+                              s: float, nodes: tuple) -> float:
+    """s^(n-1) times the sum over the rotations m of the angular rule of
+    w_m sum_X Wc rho(X m) rho((X - S) m), S = s e_n. Whole rotations are
+    evaluated a block at a time; each rotation's sum is the same float as
+    its own ``np.sum`` and is added in rotation order, so the block size
+    changes no bit."""
+    n, R = geometry.dimension, geometry.radius
+    if s >= 2.0 * R:
+        return 0.0
+    X, Wc = _cap_rule(geometry, s, nodes)
     rots, w_ang = _angular_rule(n, nodes)
     S = np.zeros(n)
     S[-1] = s
     XS = X - S
+    step = max(1, _QUAD_BLOCK_POINTS // len(X))
     total = 0.0
-    for m, wa in zip(rots, w_ang):
-        a = density_value(density, X @ m, geometry)
-        b = density_value(density, XS @ m, geometry)
-        total += wa * float(np.sum(Wc * a * b))
+    for lo in range(0, len(rots), step):
+        block = rots[lo:lo + step]
+        a = density_value(density, np.matmul(X, block).reshape(-1, n), geometry)
+        b = density_value(density, np.matmul(XS, block).reshape(-1, n), geometry)
+        prod = np.multiply(Wc, a.reshape(len(block), -1))
+        prod *= b.reshape(len(block), -1)
+        sums = np.sum(prod, axis=-1)
+        for wa, row in zip(w_ang[lo:lo + step], sums):
+            total += wa * float(row)
     return s ** (n - 1) * total
 
 
@@ -334,7 +369,7 @@ def _master_unnormalized_mc(geometry: BallGeometry, density: DensityModel,
 def _mass_quad(geometry: BallGeometry, density: DensityModel, nodes: tuple) -> float:
     """Int_B rho by Gauss-Legendre nodes in r times the angular rule of ``nodes``."""
     n, R = geometry.dimension, geometry.radius
-    gl_r, gw_r = np.polynomial.legendre.leggauss(nodes[0])
+    gl_r, gw_r = _gauss_legendre(nodes[0])
     r = R * (gl_r + 1.0) / 2.0
     rots, w_ang = _angular_rule(n, nodes)
     pts = (r[:, None, None] * rots[None, :, -1, :]).reshape(-1, n)

@@ -14,6 +14,8 @@ words, uniforms and normals in single whole-array passes, the form the
 blocked ``CounterStream`` must reproduce bit for bit. On top of it, the direct
 samplers (uniform ball, Gaussian, shells) are written as whole-batch draws,
 the form every pair window of ``sample_density`` must reproduce bit for bit.
+The master-formula quadrature has a one-rotation-at-a-time oracle, the loop
+that the blocks of whole rotations must reproduce bit for bit.
 
 Two coefficients of the 4-shell table are known to be misprinted in
 circulating tabulations; both misprints break the continuity of the PDF at
@@ -35,6 +37,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import betaincc
+
+from nballdist.arbitrary import _angular_rule, _cap_rule
+from nballdist.core import density_value
 
 
 def p2_closed(s: float, R: float = 1.0) -> float:
@@ -467,3 +472,23 @@ def splitmix_word(seed, stream, i):
 
     base = mix((mix(seed ^ 0xA3EC647659359ACD) + stream * 0x9E3779B97F4A7C15) & mask)
     return mix((base + (i + 1) * 0x9E3779B97F4A7C15) & mask)
+
+
+def master_quad_per_rotation(geometry, density, s, nodes):
+    """The unnormalized master-formula quadrature on the package's cap and
+    angular rules, one rotation matrix and two ``density_value`` calls at a
+    time, each rotation's weighted sum added in rotation order."""
+    n, R = geometry.dimension, geometry.radius
+    if s >= 2.0 * R:
+        return 0.0
+    X, Wc = _cap_rule(geometry, s, nodes)
+    rots, w_ang = _angular_rule(n, nodes)
+    S = np.zeros(n)
+    S[-1] = s
+    XS = X - S
+    total = 0.0
+    for m, wa in zip(rots, w_ang):
+        a = density_value(density, X @ m, geometry)
+        b = density_value(density, XS @ m, geometry)
+        total += wa * float(np.sum(Wc * a * b))
+    return s ** (n - 1) * total

@@ -31,6 +31,8 @@ from nballdist import (
     rotation_matrix,
     spherical_to_cartesian,
 )
+import reference_forms as ref
+from nballdist import arbitrary
 from nballdist._rng import CounterStream
 from nballdist.arbitrary import (
     _EX3_POLY,
@@ -403,6 +405,73 @@ def test_master_quadrature_values_pinned(exponents, tol):
     got = [pdf_master(g, CartesianMonomial(exponents), s, "quadrature", tol).value
            for s in (0.2, 0.6, 1.0, 1.4, 1.8)]
     assert tuple(got) == _MASTER_QUAD_PINS[exponents]
+
+
+def _exact_monomial(row, exponents):
+    value = Fraction(1)
+    for x, e in zip(row, exponents):
+        value *= Fraction(float(x)) ** e
+    return value
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_monomials_are_exactly_even(n):
+    rng = np.random.default_rng(700 + n)
+    models = [tuple(e if i == j else 0 for i in range(n)) for e in (2, 4, 6, 8)
+              for j in rng.integers(0, n, 2)]
+    models += [tuple(int(e) for e in rng.choice((0, 2, 4, 6, 8), n)) for _ in range(12)]
+    for exponents in models:
+        model = CartesianMonomial(exponents)
+        pts = rng.uniform(-1.3, 1.3, (40, n))
+        got = density_value(model, pts)
+        for _ in range(3):
+            signs = rng.choice((-1.0, 1.0), (40, n))
+            assert np.array_equal(density_value(model, pts * signs), got), exponents
+        # a single |x|^e is within 1 ulp of exact; k > 1 factors carry k powers
+        # of at most 1 ulp (2^-52 relative) and k - 1 products of half that
+        k = sum(1 for e in exponents if e)
+        rel = Fraction((3 * k - 1) / 2 * (1.0 + 1e-6) * 2.0 ** -52)
+        for row, value in zip(pts, got):
+            exact = _exact_monomial(row, exponents)
+            err = abs(Fraction(float(value)) - exact)
+            if k <= 1:
+                assert err <= Fraction(float(np.spacing(float(exact)))), (exponents, row)
+            else:
+                assert err <= rel * exact, (exponents, row)
+
+
+def _block_densities(n):
+    def callback(pts):
+        assert pts.ndim == 2 and pts.shape[1] == n
+        return 1.0 + pts[:, 0] ** 2 * np.abs(pts[:, -1])
+    monomials = [(2, 2), (4, 2), (6, 0)] if n == 2 else [(2, 2, 2), (4, 0, 2), (6, 2, 0)]
+    return [CartesianMonomial(e) for e in monomials] + [
+        RadialPolynomial((1.0, 0.5, -0.3)),
+        MultiShell((0.52, 1.3), (1.0, 2.5)),
+        GeneralCartesian(callback, bound=4.0),
+    ]
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-6])
+@pytest.mark.parametrize("n", [2, 3])
+def test_master_quadrature_blocks_match_per_rotation(n, tol):
+    g = BallGeometry(n, 1.3)
+    nodes = _quad_levels(n, tol)
+    for density in _block_densities(n):
+        for s in (0.05, 0.6, 1.3, 1.9, 2.55):
+            assert _master_unnormalized_quad(g, density, s, nodes) == \
+                ref.master_quad_per_rotation(g, density, s, nodes), (density, s)
+
+
+@pytest.mark.parametrize("block_points", [1, 5000, 10 ** 9])
+@pytest.mark.parametrize("n", [2, 3])
+def test_master_quadrature_block_size_changes_no_bit(n, block_points, monkeypatch):
+    g = BallGeometry(n, 1.0)
+    nodes = _quad_levels(n, 1e-2)
+    densities = _block_densities(n)[1:4:2]
+    want = [_master_unnormalized_quad(g, d, 0.7, nodes) for d in densities]
+    monkeypatch.setattr(arbitrary, "_QUAD_BLOCK_POINTS", block_points)
+    assert [_master_unnormalized_quad(g, d, 0.7, nodes) for d in densities] == want
 
 
 def _master_mc_drawn_whole(geometry, density, s, samples, stream):

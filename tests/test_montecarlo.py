@@ -239,6 +239,24 @@ def test_histogram_gaussian_peak():
     assert abs(peak - 2.0) < 0.3
 
 
+@pytest.mark.parametrize("k", [-600, -40, 40, 600])
+@pytest.mark.parametrize("density", ["uniform", "gauss"])
+def test_histogram_counts_are_scale_free_at_extreme_radii(density, k):
+    # the points and edges of a ball of radius 2^k R are those of radius R
+    # times 2^k, so the counts are the same, although at k = +-600 the squared
+    # distances leave the double range
+    def counts(scale):
+        if density == "uniform":
+            g, model = BallGeometry(3, scale), Uniform()
+        else:
+            g, model = BallGeometry(3, 8.0 * scale), Gaussian(scale)
+        return empirical_pair_pdf(g, model, pairs=20_000, bins=32,
+                                  config=SamplerConfig(seed=42, count=0)).counts
+    want = counts(1.0)
+    assert want[0] < want.sum()
+    np.testing.assert_array_equal(counts(2.0 ** k), want)
+
+
 def test_histogram_preconditions():
     with pytest.raises(DomainError):
         empirical_pair_pdf(G3, Uniform(), pairs=10, bins=32, config=SamplerConfig(seed=1, count=0))
