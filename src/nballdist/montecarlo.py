@@ -12,13 +12,15 @@ associative and commutative, so parallel runs give identical results
 regardless of how the work is split.
 
 A batch of 2P points is binned as the P pairs (x[i], x[P + i]). Since the
-stream is counter-based, the direct samplers (uniform, Gaussian, shells) can
-draw any pair window [lo, hi) alone: rows [lo, hi) stacked over rows
-P + [lo, hi), from exactly their own words. ``substream_histogram`` walks a
-substream window by window, so for direct samplers memory is bounded by the
-window (about 4 ``_rng._BLOCK`` numbers), whatever the pair count; rejection
-and monomial samplers draw and hold their whole substream. Window and block
-sizes change no output bit.
+stream is counter-based, the direct samplers (uniform, Gaussian, shells,
+monomials) can draw any pair window [lo, hi) alone: rows [lo, hi) stacked
+over rows P + [lo, hi), from exactly their own words. ``substream_histogram``
+walks a substream window by window, so for direct samplers memory is bounded
+by the window (about 4 ``_rng._BLOCK`` numbers, plus sum(e)/2 + 1 uniforms
+per point for a monomial), whatever the pair count. The rejection samplers
+draw and hold their whole substream; a radial profile draws only a radius and
+an acceptance uniform per proposal, and a direction for each kept point.
+Window and block sizes change no output bit.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from .core import (
     RadialPolynomial,
     Uniform,
     _row_sumsq,
+    _scaled_coefficients,
     density_bound,
     density_value,
 )
@@ -65,10 +68,6 @@ __all__ = [
 ]
 
 _REJECTION_CHUNK = 16384  # fixed so rejection sampling consumes words deterministically
-# Points per block of the monomial sampler. Blocks bound the normals' scratch
-# arrays to 4096 x (|e| + n + 2) doubles whatever the count; the block size
-# also fixes how the stream is consumed, so changing it changes the samples.
-_MONOMIAL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -231,49 +230,97 @@ def _multishell_points(geometry: BallGeometry, model: MultiShell,
 
 
 def _monomial_points(geometry: BallGeometry, model: CartesianMonomial,
-                     stream: CounterStream, count: int) -> np.ndarray:
+                     stream: CounterStream, count: int, window=None) -> np.ndarray:
     """prod x_i^{e_i} on the ball: y_i = x_i^2 / R^2 is Dirichlet((e_i+1)/2,
     ..., (e_n+1)/2, 1) with independent signs (Barthe, Guedon, Mendelson and
-    Naor 2005). Every e_i is even, so each shape is a half-integer and each
-    Gamma(k/2) variate is half a sum of k squared normals: e_i + 1 normals per
-    coordinate plus 2 for the slack. The sign of x_i is that of its group's
-    first normal, which is independent of the group's sum of squares."""
+    Naor 2005). Every e_i is even, so Gamma((e_i+1)/2) is z_i^2/2 plus e_i/2
+    unit exponentials, and the slack Gamma(1) is one more; each exponential
+    is -log(1 - U) (Devroye 1986, Non-Uniform Random Variate Generation,
+    ch. IX). The sign of x_i is that of z_i, which is independent of z_i^2.
+
+    A point takes n normals, the rows of ``_normal_rows``, and then k =
+    sum(e)/2 + 1 uniforms as a row of its own, after all the normals: the
+    e_i/2 of each coordinate in turn, then the slack's. Row i of both
+    layouts is drawn alone for a pair window, so a window is bit for bit
+    those rows of the whole batch. Each coordinate adds its exponentials to
+    z_i^2/2 in turn, and the total adds the coordinates in turn and then the
+    slack, so no sum depends on the block."""
     n, R = geometry.dimension, geometry.radius
     exps = model.exponents
     if len(exps) != n:
         raise InvalidDensityError("exponent count does not match point dimension")
-    sizes = [e + 1 for e in exps] + [2]
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    width = sum(sizes)
-    out = np.empty((count, n))
-    for lo in range(0, count, _MONOMIAL_BLOCK):
-        m = min(_MONOMIAL_BLOCK, count - lo)
-        z = stream.normals(m * width).reshape(m, width)
-        gam = np.add.reduceat(z * z, starts, axis=1)
-        total = np.sum(gam, axis=1)
-        out[lo:lo + m] = np.copysign(R * np.sqrt(gam[:, :n] / total[:, None]),
-                                     z[:, starts[:n]])
-    return out
+    k = sum(exps) // 2 + 1
+    z = _normal_rows(stream, n, count, window)
+    # as in _uniform_ball_points, a whole batch draws its uniforms block by block
+    unif = None if window is None else stream.uniforms(
+        count * k, window=(k * window.lo, k * window.hi)).reshape(-1, k)
+    rows = _rows_per_block(n + k)
+    for lo in range(0, len(z), rows):
+        zb = z[lo:lo + rows]
+        u = stream.uniforms(len(zb) * k).reshape(-1, k) if unif is None else unif[lo:lo + rows]
+        np.subtract(1.0, u, out=u)  # (0, 1], keeps the log finite
+        np.log(u, out=u)  # minus the exponentials
+        g = np.multiply(zb, zb)
+        g *= 0.5
+        col = 0
+        for i, e in enumerate(exps):
+            for _ in range(e // 2):
+                g[:, i] -= u[:, col]
+                col += 1
+        total = g[:, 0].copy()
+        for i in range(1, n):
+            total += g[:, i]
+        total -= u[:, col]
+        np.divide(g, total[:, None], out=g)
+        np.sqrt(g, out=g)
+        g *= R
+        np.copysign(g, zb, out=zb)
+    return z
 
 
 def _rejection_points(geometry: BallGeometry, density: DensityModel,
                       stream: CounterStream, count: int) -> np.ndarray:
-    bound = density_bound(density, geometry)
-    out = np.empty((count, geometry.dimension))
+    """Rejection sampling against the model's certified bound.
+
+    A radial profile is sampled on the unit ball, against the bound of its
+    profile there (``_scaled_coefficients`` for a radial polynomial), so
+    that neither the bound nor the values leave the double range at any R.
+    Each chunk draws the radii t = U^(1/n) of its proposals, then their
+    acceptance uniforms, and accepts on rho(t) alone, evaluated on (m, 1)
+    rows of t (|t| is t exactly). Only the kept radii then draw a direction,
+    n normals each, and their points are R t times it. A ``GeneralCartesian``
+    proposes uniform points of the ball itself."""
+    n, R = geometry.dimension, geometry.radius
+    radial = not isinstance(density, GeneralCartesian)
+    model, on = density, geometry
+    if radial:
+        on = BallGeometry(n, 1.0)
+        if isinstance(density, RadialPolynomial):
+            model = RadialPolynomial(_scaled_coefficients(density, R)[0])
+    bound = density_bound(model, on)
+    out = np.empty((count, n))
     got = 0
     proposals = 0
     while got < count:
-        cand = _uniform_ball_points(geometry, stream, _REJECTION_CHUNK)
-        u = stream.uniforms(_REJECTION_CHUNK)
-        vals = density_value(density, cand, geometry)
+        if radial:
+            u = stream.uniforms(2 * _REJECTION_CHUNK)
+            cand = u[:_REJECTION_CHUNK, None] ** (1.0 / n)
+            u = u[_REJECTION_CHUNK:]
+        else:
+            cand = _uniform_ball_points(geometry, stream, _REJECTION_CHUNK)
+            u = stream.uniforms(_REJECTION_CHUNK)
+        vals = density_value(model, cand, on)
         if np.any(vals < -1e-12 * bound):
             raise InvalidDensityError("density is negative at sampled points")
         if np.any(vals > bound * (1.0 + 1e-9)):
             raise InvalidDensityError("density exceeds its certified bound")
-        keep = cand[u * bound < vals]
-        take = min(len(keep), count - got)
-        out[got:got + take] = keep[:take]
-        got += take
+        keep = cand[u * bound < vals][:count - got]
+        if radial:
+            z = _normal_rows(stream, n, len(keep), None)
+            _scale_rows(z, R * keep[:, 0])
+            keep = z
+        out[got:got + len(keep)] = keep
+        got += len(keep)
         proposals += _REJECTION_CHUNK
         if proposals >= 2_000_000 and got / proposals < 1e-6:
             raise EfficiencyError(
@@ -284,9 +331,8 @@ def _rejection_points(geometry: BallGeometry, density: DensityModel,
 
 
 # Densities whose samplers draw any pair window alone. The rejection samplers
-# cannot (row i depends on every accepted row before it), nor can the monomial
-# sampler (its fixed blocks do not line up with the two halves of a batch).
-_WINDOWED = (Uniform, Gaussian, MultiShell)
+# cannot: row i depends on every accepted row before it.
+_WINDOWED = (Uniform, Gaussian, MultiShell, CartesianMonomial)
 
 
 def sample_density(geometry: BallGeometry, density: DensityModel,
@@ -295,11 +341,12 @@ def sample_density(geometry: BallGeometry, density: DensityModel,
 
     Uniform, Gaussian (radial chi sampling via n normals), MultiShell
     (inverse CDF on the piecewise r^n radial mass) and CartesianMonomial
-    (Dirichlet law of the squared coordinates, from sums of squared normals)
-    are sampled directly. RadialPolynomial, ParabolicRadial and
-    GeneralCartesian are sampled by rejection against the uniform-ball
-    proposal with the model's certified bound. A ``config.window`` is
-    served for Uniform, Gaussian and MultiShell only.
+    (Dirichlet law of the squared coordinates, from one normal per
+    coordinate and unit exponentials) are sampled directly, and serve a
+    ``config.window``. RadialPolynomial and ParabolicRadial are sampled by
+    rejection of radii on the unit ball, with directions drawn for the kept
+    radii only; GeneralCartesian by rejection against the uniform-ball
+    proposal. Both use the model's certified bound and draw whole batches.
     """
     stream = _stream_for(config)
     n, count, window = geometry.dimension, config.count, config.window
@@ -314,7 +361,7 @@ def sample_density(geometry: BallGeometry, density: DensityModel,
     if isinstance(density, MultiShell):
         return _multishell_points(geometry, density, stream, count, window)
     if isinstance(density, CartesianMonomial):
-        return _monomial_points(geometry, density, stream, count)
+        return _monomial_points(geometry, density, stream, count, window)
     if isinstance(density, (RadialPolynomial, ParabolicRadial, GeneralCartesian)):
         return _rejection_points(geometry, density, stream, count)
     raise InvalidDensityError(f"no sampler for {type(density).__name__}")
@@ -381,8 +428,8 @@ def substream_histogram(geometry: BallGeometry, density: DensityModel,
     |x[P + i] - x[i]| of one substream's batch of config.count = 2P points.
 
     Direct samplers are drawn and binned one pair window at a time, so memory
-    is bounded by the window; rejection and monomial samplers draw the whole
-    batch first. The counts are the same either way, bit for bit.
+    is bounded by the window; rejection samplers draw the whole batch first.
+    The counts are the same either way, bit for bit.
     """
     pairs = config.count // 2
     if not isinstance(density, _WINDOWED) or pairs == 0:

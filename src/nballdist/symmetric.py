@@ -481,11 +481,44 @@ def _shells_pdf(geometry: BallGeometry, shells: MultiShell, s):
 
     With c_i = d_i - d_(i+1) (d_(K+1) = 0) the density is the sum of the
     uniform balls c_i 1[r <= r_i], whose pair-distance PDF is the cap-volume
-    sum of ``uniform._balls_pdf``. ``s`` is a float or an ndarray in [0, 2R].
+    sum of ``uniform._balls_pdf``. At n = 1 the shells are summed as
+    intervals instead (``_shell_intervals_pdf``). ``s`` is a float or an
+    ndarray in [0, 2R].
     """
     radii = [float(r) for r in shells.radii]
     if radii[-1] > geometry.radius:
         raise InvalidDensityError(
             f"outermost shell boundary {radii[-1]} exceeds the ball radius {geometry.radius}")
+    if geometry.dimension == 1:
+        return _shell_intervals_pdf(radii, [float(d) for d in shells.densities],
+                                    _as_support(geometry, s))
     c = [float(d) - float(e) for d, e in zip(shells.densities, shells.densities[1:] + (0.0,))]
     return _balls_pdf(geometry, tuple(zip(radii, c)), s)
+
+
+def _shell_intervals_pdf(radii: list, densities: list, s: np.ndarray):
+    """P_1(s) for shells on the line. Shell k is the two intervals
+    +-[r_(k-1), r_k], and int rho(x) rho(x + s) dx is the sum over shells k, l
+    and their intervals I, J of d_k d_l |I cap (J - s)|, with
+    |I cap (J - s)| = max(0, min(hi_I, hi_J - s) - max(lo_I, lo_J - s)).
+    P(s) = 2 int rho(x) rho(x + s) dx / M^2, M = sum_k 2 d_k (r_k - r_(k-1)).
+    No two balls are subtracted, so a shell one ulp thick keeps its digits.
+    Lengths are taken in units of a power of two near the outer radius,
+    which is exact and keeps M^2 in range."""
+    e = math.frexp(radii[-1])[1]
+    edges = [0.0] + [math.ldexp(r, -e) for r in radii]
+    t = np.ldexp(s, -e)
+    intervals = []
+    mass = 0.0
+    for d, a, b in zip(densities, edges, edges[1:]):
+        if d:
+            intervals += [(-b, -a, d), (a, b, d)]
+            mass += 2.0 * d * (b - a)
+    overlap = np.zeros_like(t)
+    for lo, hi, d in intervals:
+        for lo_j, hi_j, d_j in intervals:
+            overlap += d * d_j * np.maximum(0.0, np.minimum(hi, hi_j - t) - np.maximum(lo, lo_j - t))
+    out = np.ldexp(2.0 * overlap / (mass * mass), -e)
+    if not np.all(np.isfinite(out)):
+        raise PrecisionError("pair-distance PDF leaves the double range at n=1")
+    return out if out.ndim else float(out)

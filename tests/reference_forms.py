@@ -461,6 +461,28 @@ def shells_batch(n, radii, densities, seed, stream, count):
     return _scaled_rows(z, (rn[idx] + (v - cum[idx]) / safe[idx]) ** (1.0 / n))
 
 
+def monomial_batch(exponents, R, seed, stream, count):
+    """count points of the density prod x_i^e_i: count x n normals, then
+    count rows of k = sum(e)/2 + 1 uniforms from the words after them.
+    Gamma((e_i+1)/2) is z_i^2/2 plus the e_i/2 exponentials -log(1 - U) of
+    coordinate i's columns, added in turn; the last column is the slack's
+    Gamma(1), added to the total after the coordinates."""
+    rng = OneShotStream(seed, stream)
+    n, k = len(exponents), sum(exponents) // 2 + 1
+    z = rng.normals(count * n).reshape(count, n)
+    expo = -np.log(1.0 - rng.uniforms(count * k).reshape(count, k))
+    g = 0.5 * z * z
+    cols = iter(range(k - 1))
+    for i, e in enumerate(exponents):
+        for _ in range(e // 2):
+            g[:, i] += expo[:, next(cols)]
+    total = g[:, 0].copy()
+    for i in range(1, n):
+        total += g[:, i]
+    total += expo[:, -1]
+    return np.copysign(R * np.sqrt(g / total[:, None]), z)
+
+
 def splitmix_word(seed, stream, i):
     """word(i) of the _rng docstring, in plain Python integers."""
     mask = (1 << 64) - 1

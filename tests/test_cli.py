@@ -186,6 +186,37 @@ def test_compare_radial_poly_interior_maximum(tmp_path):
                "--pairs", "100000", "--seed", "42", "-o", "rp") == 0
 
 
+@pytest.mark.parametrize("R", ["1e160", "1e-170"])
+def test_compare_radial_poly_at_extreme_radii(tmp_path, R):
+    # the rejection bound was taken in absolute units: inf at 1e160 and the
+    # 1e-300 floor at 1e-170, so no candidate was accepted (exit 4)
+    assert run(tmp_path, "compare", "-n", "3", "-R", R, "--density", "radial-poly:0,0,1",
+               "--pairs", "100000", "--seed", "42", "-o", "ext") == 0
+
+
+@pytest.mark.parametrize("n,spec,first", [
+    ("4", "parabolic:0.5", (64, 20)),
+    ("4", "radial-poly:1,0,1,0,-1", (64, 20)),
+    ("4", "radial-poly:1,1", (513,)),
+])
+def test_compare_curve_shortcut_only_for_odd_radial_polynomials(tmp_path, monkeypatch,
+                                                                n, spec, first):
+    # profiles in r^2 take the exact Gauss-Legendre bin masses; only odd
+    # powers of r, a nested quadrature per point, take the 513-point curve
+    import nballdist.cli as cli
+    calls = []
+
+    def recording(geometry, density, representation=None):
+        def evaluate(s):
+            calls.append(np.shape(s))
+            return np.ones(np.shape(s))  # the shapes are the point, not the p-value
+        return evaluate
+    monkeypatch.setattr(cli, "resolve_evaluator", recording)
+    run(tmp_path, "compare", "-n", n, "--density", spec, "--pairs", "20000", "--seed", "42",
+        "-o", "c")
+    assert calls == [first, (64,)]
+
+
 @pytest.mark.parametrize("n", ["1", "4"])
 def test_pdf_shells_numeric_route_endpoints(tmp_path, n):
     assert run(tmp_path, "pdf", "-n", n, "--density", "shells:0.5,1.0;1,2",

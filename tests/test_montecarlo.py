@@ -17,6 +17,7 @@ from nballdist import (
     InsufficientDataError,
     InvalidDensityError,
     MultiShell,
+    ParabolicRadial,
     PdfCurve,
     RadialPolynomial,
     SamplerConfig,
@@ -173,6 +174,67 @@ def test_monomial_sampler_sign_symmetry(exps):
         assert abs(np.count_nonzero(x > 0) - count / 2) < 2.0 * math.sqrt(count), i
         # the sign is independent of the magnitude
         assert stats.ks_2samp(x[x > 0], -x[x < 0]).pvalue > 1e-3, i
+
+
+@pytest.mark.parametrize("exps", [(0, 0, 0), (0, 2, 0), (60, 0), (0,), (2, 0, 0, 0, 0, 0, 0, 0, 0)])
+def test_monomial_sampler_zero_and_large_exponents(exps):
+    # an exponent of 0 adds no exponential to its coordinate, and 60 adds 30,
+    # summed as logs (a product of that many uniforms can go subnormal)
+    R = 1.3
+    pts = sample_density(BallGeometry(len(exps), R), CartesianMonomial(exps),
+                         SamplerConfig(seed=5, count=40_000))
+    assert np.all(np.isfinite(pts)) and np.max(np.linalg.norm(pts, axis=1)) <= R
+    a = [(e + 1) / 2.0 for e in exps]
+    for i in {0, len(exps) - 1}:
+        law = stats.beta(a[i], sum(a) - a[i] + 1.0)
+        assert stats.kstest(pts[:, i] ** 2 / R ** 2, law.cdf).pvalue > 1e-3, i
+
+
+def _radial_cdf(q, n):
+    """CDF of t = r/R on [0, 1] for the profile sum_k q_k t^k in n dimensions."""
+    def cdf(t):
+        return sum(c * t ** (n + k) / (n + k) for k, c in enumerate(q)) / \
+            sum(c / (n + k) for k, c in enumerate(q))
+    return cdf
+
+
+@pytest.mark.parametrize("n,density,q", [
+    (1, RadialPolynomial((0, 0, 1)), (0, 0, 1)),
+    (3, RadialPolynomial((0, 0, 1)), (0, 0, 1)),
+    (6, RadialPolynomial((0, 0, 1)), (0, 0, 1)),
+    (4, ParabolicRadial(0.5), (1, 0, -0.5)),
+    (4, RadialPolynomial((1, 2, -3)), (1, 2, -3)),  # maximum at r = R/3
+], ids=["r2-n1", "r2-n3", "r2-n6", "parabolic-n4", "interior-max-n4"])
+def test_radial_rejection_radii_and_directions(n, density, q):
+    # radii against the exact radial CDF, directions against the uniform
+    # sphere, whose coordinate x_i/|x| has (1 + x_i/|x|)/2 ~ Beta((n-1)/2, (n-1)/2)
+    R = 1.0 if isinstance(density, RadialPolynomial) else 1.3
+    pts = sample_density(BallGeometry(n, R), density, SamplerConfig(seed=11, count=100_000))
+    r = np.linalg.norm(pts, axis=1)
+    assert np.max(r) <= R
+    assert stats.kstest(r / R, _radial_cdf(q, n)).pvalue > 1e-3
+    if n == 1:
+        assert abs(np.count_nonzero(pts > 0) - 50_000) < 2.0 * math.sqrt(100_000)
+        return
+    law = stats.beta((n - 1) / 2.0, (n - 1) / 2.0)
+    for i in (0, n - 1):
+        assert stats.kstest((1.0 + pts[:, i] / r) / 2.0, law.cdf).pvalue > 1e-3, i
+    # the direction is independent of the radius
+    inner = r < np.median(r)
+    assert stats.ks_2samp(pts[inner, 0] / r[inner], pts[~inner, 0] / r[~inner]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("k", [-600, -200, 200, 600])
+@pytest.mark.parametrize("density", [RadialPolynomial((0, 0, 1)), ParabolicRadial(0.5)],
+                         ids=["r2", "parabolic"])
+def test_radial_rejection_is_scale_free(density, k):
+    # radii are drawn and accepted on the unit ball, so a ball of radius 2^k
+    # holds exactly 2^k times the points of the unit ball; at k = +-600 the
+    # bound of the profile in absolute units left the double range
+    cfg = SamplerConfig(seed=42, count=20_000, stream_id=3)
+    want = sample_density(G3, density, cfg)
+    np.testing.assert_array_equal(sample_density(BallGeometry(3, 2.0 ** k), density, cfg),
+                                  np.ldexp(want, k))
 
 
 def test_monomial_sampler_exponent_count():
@@ -435,12 +497,17 @@ def _window_cases():
                for n in (1, 2, 3, 5, 8, 9)]
               + [(3, Gaussian(1.3), lambda n, c: ref.gaussian_batch(n, 1.3, 42, 3, c))]
               + [(n, shells, lambda n, c: ref.shells_batch(n, shells.radii, shells.densities,
-                                                         42, 3, c)) for n in (3, 4)])
+                                                         42, 3, c)) for n in (3, 4)]
+              + [(len(e), CartesianMonomial(e),
+                  lambda n, c, e=e: ref.monomial_batch(e, 1.5, 42, 3, c))
+                 for e in ((4, 4), (2, 2, 2), (0, 6, 0, 2), (60, 0))])
     for n, density, oracle in models:
         w = _pairs_per_window(n)
+        name = type(density).__name__
+        if isinstance(density, CartesianMonomial):
+            name += "-" + "-".join(map(str, density.exponents))
         for pairs in (1000, w - 1, w, w + 1, 3 * w + 7):
-            yield pytest.param(n, density, oracle, pairs,
-                               id=f"{type(density).__name__}-n{n}-pairs{pairs}")
+            yield pytest.param(n, density, oracle, pairs, id=f"{name}-n{n}-pairs{pairs}")
 
 
 @pytest.mark.parametrize("n,density,oracle,pairs", _window_cases())
@@ -474,10 +541,13 @@ def test_window_requests_are_checked():
     for count, lo, hi in ((2001, 0, 10), (2000, 10, 10), (2000, -1, 5), (2000, 990, 1001)):
         with pytest.raises(DomainError):
             SamplerConfig(42, count, 0, PairWindow(lo, hi))
-    # rejection and monomial samplers draw whole batches only
-    for density in (RadialPolynomial((0, 0, 1)), CartesianMonomial((2, 2, 2))):
+    # rejection samplers draw whole batches only
+    for density in (RadialPolynomial((0, 0, 1)),):
         with pytest.raises(DomainError):
             sample_density(G3, density, SamplerConfig(42, 2000, 0, PairWindow(0, 10)))
+    # monomial samplers serve windows
+    assert sample_density(G3, CartesianMonomial((2, 2, 2)),
+                          SamplerConfig(42, 2000, 0, PairWindow(0, 10))).shape == (20, 3)
 
 
 def test_window_draws_only_its_own_words():
@@ -511,7 +581,10 @@ PINNED_COUNTS = [
     (BallGeometry(3), MultiShell((0.5, 1.0), (1.0, 2.0)), [45, 227, 453, 613, 682, 596, 310, 74]),
     (BallGeometry(4), MultiShell((0.3, 0.6, 1.0), (3.0, 1.0, 2.0)),
      [9, 106, 328, 622, 811, 675, 396, 53]),
-    (BallGeometry(3), CartesianMonomial((2, 2, 2)), [75, 212, 216, 363, 578, 716, 574, 266]),
+    # the monomial stream of one normal per coordinate and unit exponentials
+    # (the former sums of squared normals gave chi-square 6.36, these 6.44,
+    # 7 dof, against pdf_example_3d)
+    (BallGeometry(3), CartesianMonomial((2, 2, 2)), [96, 222, 214, 388, 571, 660, 581, 268]),
 ]
 
 

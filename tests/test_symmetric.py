@@ -398,6 +398,8 @@ def test_shells_large_dimension_against_mpmath(n, ts, R):
 # volumes cancel
 @example(n=1, radii=[0.998046875, 1.0], dens=[0, 1, 0, 0, 0], s=[1.0])
 @example(n=1, radii=[0.99999, 1.0], dens=[0, 1, 0, 0, 0], s=[0.5])
+# a shell one ulp thick: the difference of two balls gave 1.80e17, not 1.44e17
+@example(n=1, radii=[0.05, 0.05000000000000001], dens=[0, 0, 0, 0, 1], s=[0.0])
 def test_shells_random_sets_match_cap_volume_oracle(n, radii, dens, s):
     radii = sorted(radii)
     dens = dens[:len(radii)]
