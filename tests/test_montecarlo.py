@@ -581,9 +581,8 @@ PINNED_COUNTS = [
     (BallGeometry(3), MultiShell((0.5, 1.0), (1.0, 2.0)), [45, 227, 453, 613, 682, 596, 310, 74]),
     (BallGeometry(4), MultiShell((0.3, 0.6, 1.0), (3.0, 1.0, 2.0)),
      [9, 106, 328, 622, 811, 675, 396, 53]),
-    # the monomial stream of one normal per coordinate and unit exponentials
-    # (the former sums of squared normals gave chi-square 6.36, these 6.44,
-    # 7 dof, against pdf_example_3d)
+    # one normal per coordinate and unit exponentials: chi-square 6.44, 7 dof,
+    # against pdf_example_3d
     (BallGeometry(3), CartesianMonomial((2, 2, 2)), [96, 222, 214, 388, 571, 660, 581, 268]),
 ]
 
