@@ -66,7 +66,6 @@ from .arbitrary import (  # noqa: F401
 from .montecarlo import (  # noqa: F401
     ComparisonReport,
     DistanceHistogram,
-    PdfCurve,
     SamplerConfig,
     compare,
     empirical_pair_pdf,
@@ -75,7 +74,6 @@ from .montecarlo import (  # noqa: F401
     sample_uniform_ball,
 )
 from .applications import (  # noqa: F401
-    MomentSpec,
     SelfEnergySpec,
     coulomb_gaussian_pair_energy,
     coulomb_gaussian_self_energy,

@@ -1,6 +1,6 @@
-"""Exact piecewise polynomials, the one float evaluator of every PDF that
-is a polynomial in s with rational coefficients, and truncated power-series
-arithmetic for Taylor-coefficient extraction.
+"""Exact piecewise polynomials, the one float evaluator of every polynomial
+in s with rational coefficients that a PDF is or has as a factor, and
+truncated power-series arithmetic for Taylor-coefficient extraction.
 
 Coefficient arrays of the series routines are plain float64 numpy arrays
 indexed by power, truncated at a fixed order N, which is exact for
@@ -18,15 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import DomainError, PrecisionError
-
-
-def poly_eval(table: dict, s, R: float):
-    """sum_k c_k s^k / R^(k+1), ``table`` mapping k to c_k, summed in s/R,
-    so that no power of R leaves the double range."""
-    t = s / R
-    # np.power, not **: a 0-d s makes t a numpy scalar, whose ** rounds
-    # differently from an array's
-    return sum(float(c) * np.power(t, k) for k, c in table.items()) / R
 
 
 def _expansion(coeffs, end: float, unit: float, width: int) -> list:

@@ -37,7 +37,6 @@ from .core import (
 )
 
 __all__ = [
-    "MomentSpec",
     "SelfEnergySpec",
     "HARD_CORE_RADIUS_CM",
     "COUPLING_ELECTRON",
@@ -60,17 +59,6 @@ HARD_CORE_RADIUS_CM = 0.5e-13
 COUPLING_ELECTRON = 0.964
 COUPLING_PROTON = 0.036
 COUPLING_NEUTRON = -0.5
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Moment order plus an optional hard-core lower cutoff (0 = none)."""
-    order: int
-    hard_core: float = 0.0
-
-    def __post_init__(self):
-        if self.hard_core < 0.0:
-            raise DomainError("hard-core radius must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._rng import CounterStream
-from ._series import ball_polynomial, poly_eval
+from ._series import ball_polynomial
 from .core import (
     BallGeometry,
     DensityModel,
@@ -470,6 +470,9 @@ _EX2_F2 = {10: Fraction(260315, 10206), 14: Fraction(113693, 47628), 18: Fractio
 _EX2_F3 = {8: Fraction(2725, 1134), 12: Fraction(1438825, 142884), 16: Fraction(89189, 285768)}
 _EX2_ASIN = {1: Fraction(1750, 81), 3: Fraction(1000, 3), 5: Fraction(14800, 21),
              7: Fraction(800, 3), 9: Fraction(20)}
+# The square-root factor F1 + F2 - F3 of the printed 2d form, summed exactly
+_EX2_SQRT = {k: _EX2_F1.get(k, 0) + _EX2_F2.get(k, 0) - _EX2_F3.get(k, 0)
+             for k in {*_EX2_F1, *_EX2_F2, *_EX2_F3}}
 
 _EX3_POLY = {2: Fraction(1701, 143), 3: Fraction(-25515, 572), 4: Fraction(8505, 143),
              5: Fraction(-8505, 208), 6: Fraction(567, 11), 7: Fraction(-6237, 104),
@@ -484,27 +487,42 @@ _EX4_SQRT = {4: Fraction(196, 3), 6: Fraction(114, 5), 8: Fraction(28, 15),
 _EX4_ASIN = {3: Fraction(112, 3), 5: Fraction(96), 7: Fraction(16)}
 
 
-def _root_and_asin(geometry: BallGeometry, s) -> tuple:
-    """sqrt(4R^2 - s^2) and asin(s/2R), clipped at s = 2R."""
-    R = geometry.radius
-    return (np.sqrt(np.maximum(4.0 * R * R - s * s, 0.0)),
-            np.arcsin(np.minimum(s / (2.0 * R), 1.0)))
+def _theta_factors(asin: dict, root: dict, radius: float) -> tuple:
+    """The exact factors (asin - 2 root, root) of ``_theta_form`` on the ball."""
+    d = {k: asin.get(k, 0) - 2 * root.get(k, 0) for k in {*asin, *root}}
+    return ball_polynomial(d, radius), ball_polynomial(root, radius)
+
+
+_ex2_factors = lru_cache(maxsize=64)(partial(_theta_factors, _EX2_ASIN, _EX2_SQRT))
+_ex4_factors = lru_cache(maxsize=64)(partial(_theta_factors, _EX4_ASIN, _EX4_SQRT))
+
+# (-1)^k / (2k + 3)!, k <= 10: theta - sin(theta) = theta^3 sum_k c_k theta^(2k)
+# to below 2^-53 relative for theta <= pi/2
+_THETA_MINUS_SIN = np.array([float(Fraction((-1) ** k, math.factorial(2 * k + 3)))
+                             for k in range(11)])
+
+
+def _theta_form(factors: tuple, geometry: BallGeometry, s):
+    """A printed form poly - sqrt(4R^2 - s^2) root / (pi R) - asin(s/2R) asin / pi
+    whose asin table is 2 poly, as in both: with theta = acos(s/2R), it is
+    (theta (asin - 2 root) + 2 (theta - sin theta) root) / pi, two terms that
+    cancel far less than the three printed ones, most of all near 2R.
+    theta - sin theta is summed as its Taylor series."""
+    s = _as_support(geometry, s)
+    d, root = factors
+    theta = 2.0 * np.arcsin(np.sqrt((geometry.diameter - s) / geometry.radius) / 2.0)
+    theta2 = theta * theta  # products, not **, which rounds a numpy scalar differently
+    tms = np.polynomial.polynomial.polyval(theta2, _THETA_MINUS_SIN) * theta2 * theta
+    out = (theta * d(s) + 2.0 * tms * root(s)) / math.pi
+    return out if np.ndim(out) else float(out)
 
 
 def pdf_example_2d(geometry: BallGeometry, s):
-    """P_2(s) for the density rho ~ x^4 y^4 in a disc (closed form); s a
-    float or an ndarray."""
+    """P_2(s) for the density rho ~ x^4 y^4 in a disc (closed form), summed
+    by ``_theta_form``; s a float or an ndarray."""
     if geometry.dimension != 2:
         raise UnsupportedError("this closed form is for n = 2")
-    s = _as_support(geometry, s)
-    R = geometry.radius
-    root, asin = _root_and_asin(geometry, s)
-    f123 = (poly_eval(_EX2_F1, s, R) + poly_eval(_EX2_F2, s, R)
-            - poly_eval(_EX2_F3, s, R)) / R  # tables carry R^(k+2) scaling
-    out = (poly_eval(_EX2_POLY, s, R)
-           - root / math.pi * f123
-           - asin / math.pi * poly_eval(_EX2_ASIN, s, R))
-    return out if out.ndim else float(out)
+    return _theta_form(_ex2_factors(geometry.radius), geometry, s)
 
 
 def pdf_example_3d(geometry: BallGeometry, s):
@@ -516,14 +534,8 @@ def pdf_example_3d(geometry: BallGeometry, s):
 
 
 def pdf_example_4d(geometry: BallGeometry, s):
-    """P_4(s) for the density rho ~ x_1^4 in a 4-ball (closed form); s a
-    float or an ndarray."""
+    """P_4(s) for the density rho ~ x_1^4 in a 4-ball (closed form), summed
+    by ``_theta_form``; s a float or an ndarray."""
     if geometry.dimension != 4:
         raise UnsupportedError("this closed form is for n = 4")
-    s = _as_support(geometry, s)
-    R = geometry.radius
-    root, asin = _root_and_asin(geometry, s)
-    out = (poly_eval(_EX4_POLY, s, R)
-           - root / math.pi * poly_eval(_EX4_SQRT, s, R) / R
-           - asin / math.pi * poly_eval(_EX4_ASIN, s, R))
-    return out if out.ndim else float(out)
+    return _theta_form(_ex4_factors(geometry.radius), geometry, s)

@@ -218,10 +218,11 @@ def cmd_compare(args) -> int:
     analytic = evaluator
     if (isinstance(density, RadialPolynomial) and any(density.coefficients[1::2])
             and geometry.dimension != 3):
-        # odd powers of r take a nested quadrature per point; feed compare a
-        # dense curve (profiles in r^2 take the exact bin masses)
+        # odd powers of r take a nested quadrature per point; feed compare the
+        # interpolant of a dense table (profiles in r^2 take the exact bin masses)
         grid = np.linspace(0.0, geometry.diameter, 513)
-        analytic = montecarlo.PdfCurve(grid, evaluator(grid))
+        vals = evaluator(grid)
+        analytic = lambda s: np.interp(s, grid, vals)
     report = montecarlo.compare(hist, analytic)
 
     out = _out_path(args.output)

@@ -1,7 +1,8 @@
 """Shared domain types and the special-function kernel.
 
-Everything downstream (uniform/symmetric/arbitrary closed forms, moments,
-self-energies, chi-square p-values) is built on the functions in this module:
+The closed forms of uniform, symmetric and arbitrary, the moments and the
+self-energies are built on the functions in this module (the chi-square
+p-values of montecarlo call ``scipy.special.gammaincc`` directly):
 log-gamma, beta, incomplete beta, regularized incomplete beta, upper
 incomplete gamma, and the specific Gauss hypergeometric family
 2F1(1/2, (1-n)/2; 3/2; x). They are thin wrappers that check the domain
@@ -316,20 +317,25 @@ def _row_sumsq(z: np.ndarray) -> np.ndarray:
 
 def density_bound(model: DensityModel, geometry: BallGeometry) -> float:
     """Upper bound on the unnormalized density over the ball, used as the
-    rejection-sampling envelope of the models that have no direct sampler."""
-    R = geometry.radius
+    rejection-sampling envelope of the models that have no direct sampler;
+    PrecisionError where a radial polynomial's is not a normal double."""
     if isinstance(model, ParabolicRadial):
         return 1.0
     if isinstance(model, GeneralCartesian):
         return float(model.bound)
     if isinstance(model, RadialPolynomial):
         _check_nonnegative(model, geometry)
-        # Maximum over a grid and the roots of p' inside the ball, with a margin;
-        # every accepted candidate is also checked against the bound when sampled.
+        # Maximum of q(t) = 2^-e rho(R t) over a grid of t in [0, 1] and the roots
+        # of q' there, with a margin, then scaled back by 2^e exactly; every
+        # accepted candidate is also checked against the bound when sampled.
+        q, e = _scaled_coefficients(model, geometry.radius)
         poly = np.polynomial.polynomial
-        roots = poly.polyroots(poly.polyder(model.coefficients)).real
-        r = np.concatenate([np.linspace(0.0, R, 4097), roots[(roots > 0.0) & (roots < R)]])
-        return float(np.max(density_radial_value(model, r))) * (1.0 + 1e-9) + 1e-300
+        roots = poly.polyroots(poly.polyder(q)).real
+        t = np.concatenate([np.linspace(0.0, 1.0, 4097), roots[(roots > 0.0) & (roots < 1.0)]])
+        unit = float(np.max(poly.polyval(t, q))) * (1.0 + 1e-9) + 1e-300
+        if not -1021 <= math.frexp(unit)[1] + (e or 0) <= 1024:  # 2^e unit is normal
+            raise PrecisionError("the density bound on this ball is not a normal double")
+        return math.ldexp(unit, e or 0)
     raise InvalidDensityError(f"no bound rule for {type(model).__name__}")
 
 

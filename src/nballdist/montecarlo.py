@@ -56,7 +56,6 @@ __all__ = [
     "PairWindow",
     "DistanceHistogram",
     "ComparisonReport",
-    "PdfCurve",
     "sample_uniform_ball",
     "sample_density",
     "empirical_pair_pdf",
@@ -100,14 +99,6 @@ class SamplerConfig:
         w = self.window
         if w is not None and (self.count % 2 or not 0 <= w.lo < w.hi <= self.count // 2):
             raise DomainError(f"pairs [{w.lo}, {w.hi}) are not a window of {self.count} points")
-
-
-@dataclass(frozen=True)
-class PdfCurve:
-    """PDF samples on a grid, with provenance metadata."""
-    s: np.ndarray
-    density: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -476,20 +467,12 @@ def chi_square_survival(chi2: float, dof: int) -> float:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_trapz = getattr(np, "trapezoid", None) or np.trapz  # numpy 2.x rename
 
 
 def _bin_masses(hist: DistanceHistogram, analytic) -> np.ndarray:
-    """Expected probability mass per bin from the analytic density."""
+    """Expected probability mass per bin: 20-node Gauss-Legendre quadrature
+    of the array callable ``analytic``, called once on the (bins, 20) nodes."""
     lo, hi = hist.edges[:-1], hist.edges[1:]
-    if isinstance(analytic, PdfCurve):
-        grid = np.asarray(analytic.s, dtype=float)
-        vals = np.asarray(analytic.density, dtype=float)
-        masses = np.empty(len(lo))
-        for i in range(len(lo)):
-            xs = np.linspace(lo[i], hi[i], 33)
-            masses[i] = _trapz(np.interp(xs, grid, vals), xs)
-        return masses
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
     xs = mid + half * _GL_NODES[None, :]
@@ -500,12 +483,12 @@ def _bin_masses(hist: DistanceHistogram, analytic) -> np.ndarray:
 def compare(histogram: DistanceHistogram, analytic) -> ComparisonReport:
     """Pearson chi-square of the histogram against an analytic density.
 
-    ``analytic`` is either a PdfCurve or an array callable: it is called
-    once, with the (bins, 20) array of Gauss-Legendre nodes, and must return
-    the density at every node in that shape (``resolve_evaluator`` routes,
-    ``pdf_uniform``, ``PiecewisePolynomial`` and the other closed forms do;
-    a scalar-only function does not). Expected bin masses come from
-    quadrature of the analytic PDF over each bin; the
+    ``analytic`` is an array callable: it is called once, with the
+    (bins, 20) array of Gauss-Legendre nodes, and must return the density at
+    every node in that shape (``resolve_evaluator`` routes, ``pdf_uniform``,
+    ``PiecewisePolynomial``, the other closed forms and an ``np.interp`` of
+    a tabulated curve do; a scalar-only function does not). Expected bin
+    masses come from that quadrature of the analytic PDF over each bin; the
     statistic runs over bins with expected count >= 5 and dof is that bin
     count minus one. Counts observed where the analytic density carries no
     mass make the statistic degenerate and force p = 0.

@@ -16,6 +16,7 @@ one-ball case is ``pdf_uniform``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -352,17 +353,20 @@ class GaussianBall:
 
 
 def pdf_gaussian(gaussian: GaussianBall, s):
-    """P_n(s) = s^(n-1) exp(-s^2/4 sigma^2) / (2^(n-1) Gamma(n/2) sigma^n);
+    """P_n(s) = s^(n-1) exp(-s^2/4 sigma^2) / (2^(n-1) Gamma(n/2) sigma^n),
+    formed in t = s/sigma as t^(n-1) exp(-(t/2)^2) / (2^(n-1) Gamma(n/2)) / sigma;
     s a float or an ndarray, every element >= 0."""
     s = np.asarray(s, dtype=float)
     if not np.all(s >= 0.0):
         raise DomainError(f"s must be >= 0, got {float(s[~(s >= 0.0)][0])!r}")
     n, sig = gaussian.dimension, gaussian.sigma
-    lognorm = (n - 1) * math.log(2.0) + log_gamma(n / 2.0) + n * math.log(sig)
-    pos = s > 0.0
-    # log s only where s > 0: at s = 0 the power is 1 (n = 1) or 0
-    logs = np.log(np.where(pos, s, 1.0))
-    out = np.exp((n - 1) * logs - s * s / (4.0 * sig * sig) - lognorm)
+    lognorm = (n - 1) * math.log(2.0) + log_gamma(n / 2.0)
+    with np.errstate(over="ignore"):  # t or (t/2)^2 beyond the range: exp gives 0
+        t = np.minimum(s / sig, sys.float_info.max)
+        pos = t > 0.0
+        # log t only where t > 0: at t = 0 the power is 1 (n = 1) or 0
+        out = np.exp((n - 1) * np.log(np.where(pos, t, 1.0)) - np.square(t / 2.0) - lognorm)
+    out /= sig
     if n > 1:
         out = np.where(pos, out, 0.0)
     return out if out.ndim else float(out)

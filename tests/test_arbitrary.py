@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -35,7 +36,16 @@ import reference_forms as ref
 from nballdist import arbitrary
 from nballdist._rng import CounterStream
 from nballdist.arbitrary import (
+    _EX2_ASIN,
+    _EX2_F1,
+    _EX2_F2,
+    _EX2_F3,
+    _EX2_POLY,
+    _EX2_SQRT,
     _EX3_POLY,
+    _EX4_ASIN,
+    _EX4_POLY,
+    _EX4_SQRT,
     _cap_heights,
     _chunked_mean,
     _master_norm,
@@ -211,6 +221,42 @@ def test_example_values_frozen():
     assert pdf_example_2d(BallGeometry(2, 1.0), 1.0) == pytest.approx(0.4002517965573418, rel=1e-13)
     assert pdf_example_3d(BallGeometry(3, 1.0), 1.0) == pytest.approx(396315.0 / 585728.0, rel=1e-13)
     assert pdf_example_4d(BallGeometry(4, 1.0), 1.0) == pytest.approx(0.4889745270695727, rel=1e-13)
+
+
+def _printed_form_mp(poly, root, asin, s, R):
+    """poly(s) - sqrt(4R^2 - s^2)/pi sum_k c_k s^k / R^(k+2) - asin(s/2R)/pi asin(s)
+    at 50 digits, from the printed tables (poly and asin carry R^(k+1))."""
+    with mp.workdps(50):
+        s, R = mp.mpf(s), mp.mpf(R)
+
+        def ev(table, extra):
+            return sum(mp.mpf(c.numerator) / c.denominator * s ** k / R ** (k + 1 + extra)
+                       for k, c in table.items())
+        return (ev(poly, 0) - mp.sqrt(4 * R * R - s * s) / mp.pi * ev(root, 1)
+                - mp.asin(s / (2 * R)) / mp.pi * ev(asin, 0))
+
+
+@pytest.mark.parametrize("n,R", [(2, 1.0), (2, 3.0), (4, 1.0), (4, 3.0)])
+def test_examples_2d_4d_against_mpmath(n, R):
+    # the three printed terms cancelled near 2R: 3.5e-11 (2d) and 3.4e-10 (4d)
+    # relative on this grid at R = 1, 2.3e-10 and 8.6e-10 at R = 3
+    if n == 2:
+        fn, tables = pdf_example_2d, (_EX2_POLY, _EX2_SQRT, _EX2_ASIN)
+        assert _EX2_SQRT == {k: _EX2_F1.get(k, 0) + _EX2_F2.get(k, 0) - _EX2_F3.get(k, 0)
+                             for k in range(19) if k in {*_EX2_F1, *_EX2_F2, *_EX2_F3}}
+    else:
+        fn, tables = pdf_example_4d, (_EX4_POLY, _EX4_SQRT, _EX4_ASIN)
+    s = np.linspace(0.01, 1.99, 397) * R
+    got = fn(BallGeometry(n, R), s)
+    for x, v in zip(s, got):
+        want = _printed_form_mp(*tables, float(x), R)
+        assert v == pytest.approx(float(want), rel=1e-12), x
+
+
+def test_example_asin_tables_are_twice_the_polynomials():
+    # the premise of arbitrary._theta_form, which sums both printed forms
+    assert _EX2_ASIN == {k: 2 * c for k, c in _EX2_POLY.items()}
+    assert _EX4_ASIN == {k: 2 * c for k, c in _EX4_POLY.items()}
 
 
 def test_example_3d_matches_exact_rationals_up_to_2r():

@@ -457,6 +457,19 @@ def test_moment_uniform_stdout(tmp_path, capsys):
     assert doc["family"] == "uniform"
 
 
+def test_pdf_gaussian_tiny_sigma_is_silent(tmp_path, capsys):
+    # (s/2 sigma)^2 overflows far out in the tail: exp gives 0, with no
+    # overflow warning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "pdf", "-n", "3", "-R", "8", "--density", "gauss:1e-160",
+                   "--grid", "201", "-o", "g.csv") == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "g.csv")
+    vals = np.array([float(r[1]) for r in rows])
+    assert np.all(vals == 0.0)  # the grid step 0.08 is 8e158 sigma
+
+
 def test_moment_gaussian_stdout(tmp_path, capsys):
     assert run(tmp_path, "moment", "-n", "3", "-m", "2", "--kind", "gaussian",
                "--sigma", "1.0") == 0

@@ -18,7 +18,7 @@ from nballdist import (
     InvalidDensityError,
     MultiShell,
     ParabolicRadial,
-    PdfCurve,
+    PrecisionError,
     RadialPolynomial,
     SamplerConfig,
     Uniform,
@@ -266,6 +266,24 @@ def test_radial_r2_bound_unchanged():
     assert density_bound(RadialPolynomial((0.0, 0.0, 1.0)), G3) == 1.0 * (1.0 + 1e-9) + 1e-300
 
 
+@pytest.mark.parametrize("radius,k", [(0.75 * 2.0 ** -300, 600), (0.75 * 2.0 ** 300, -600),
+                                      (3.0 * 2.0 ** -300, 600), (3.0 * 2.0 ** 300, -600)])
+def test_radial_r2_bound_scales_exactly(radius, k):
+    # the bound is taken on the unit ball and scaled back by a power of two
+    from nballdist.core import density_bound
+    r2 = RadialPolynomial((0.0, 0.0, 1.0))
+    bound = density_bound(r2, BallGeometry(3, radius))
+    assert density_bound(r2, BallGeometry(3, math.ldexp(radius, k))) == math.ldexp(bound, 2 * k)
+
+
+@pytest.mark.parametrize("radius", [1e160, 1e-170])
+def test_radial_r2_bound_outside_the_double_range(radius):
+    # R^2 is 1e320 and 1e-340: it was inf, and the 1e-300 floor
+    from nballdist.core import density_bound
+    with pytest.raises(PrecisionError):
+        density_bound(RadialPolynomial((0.0, 0.0, 1.0)), BallGeometry(3, radius))
+
+
 def test_bad_bound_detected():
     lying = GeneralCartesian(lambda pts: np.ones(pts.shape[0]), bound=0.1)
     with pytest.raises(Exception):
@@ -369,12 +387,12 @@ def test_compare_degenerate_zero_support():
 
 
 def test_compare_accepts_curves():
+    # a tabulated curve enters compare as the array callable of its interpolant
     hist = empirical_pair_pdf(G3, Uniform(), pairs=50_000, bins=32,
                               config=SamplerConfig(seed=42, count=0))
     grid = np.linspace(0.0, 2.0, 801)
-    curve = PdfCurve(grid, np.array([pdf_uniform(G3, float(s)) for s in grid]),
-                     meta={"source": "closed form"})
-    assert compare(hist, curve).p_value > 0.001
+    vals = pdf_uniform(G3, grid)
+    assert compare(hist, lambda s: np.interp(s, grid, vals)).p_value > 0.001
 
 
 def test_compare_insufficient_data():

@@ -506,6 +506,37 @@ def test_gaussian_domain():
         GaussianBall(3, 0.0)
 
 
+@pytest.mark.parametrize("sigma", [1e-170, 1e-100, 1e100, 1.0])
+@pytest.mark.parametrize("t", [0.5, 2.0, 4.0])
+def test_gaussian_in_units_of_sigma_against_mpmath(sigma, t):
+    # s^2 / 4 sigma^2 was 0/0 (nan) at sigma = 1e-170, and n log(sigma) in the
+    # exponent cost 6e-14 at sigma = 1e+-100
+    s = t * sigma
+    with mp.workdps(50):
+        S, sig = mp.mpf(s), mp.mpf(sigma)
+        want = S ** 2 * mp.exp(-S * S / (4 * sig * sig)) / (4 * mp.gamma(mp.mpf(3) / 2) * sig ** 3)
+        assert pdf_gaussian(GaussianBall(3, sigma), s) == pytest.approx(float(want), rel=1e-15)
+
+
+def test_gaussian_unit_sigma_bits_unchanged():
+    # at sigma = 1, t = s and (t/2)^2 = s^2/4 exactly: the former formula, bit for bit
+    s = np.linspace(0.0, 16.0, 50001)
+    for n in (1, 3, 6):
+        lognorm = (n - 1) * math.log(2.0) + math.lgamma(n / 2.0)
+        logs = np.log(np.where(s > 0.0, s, 1.0))
+        old = np.exp((n - 1) * logs - s * s / 4.0 - lognorm)
+        if n > 1:
+            old = np.where(s > 0.0, old, 0.0)
+        assert np.array_equal(pdf_gaussian(GaussianBall(n, 1.0), s), old)
+
+
+def test_gaussian_tails_beyond_the_double_range_are_zero():
+    # t = s/sigma and (t/2)^2 overflow: exp gives exactly 0, with no warning
+    assert np.array_equal(pdf_gaussian(GaussianBall(3, 1e-160), np.array([0.0, 8.0, 16.0])),
+                          np.zeros(3))
+    assert pdf_gaussian(GaussianBall(3, 1e-300), 1e300) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Multi-shell models
 # ---------------------------------------------------------------------------
