@@ -361,12 +361,13 @@ def pdf_gaussian(gaussian: GaussianBall, s):
         raise DomainError(f"s must be >= 0, got {float(s[~(s >= 0.0)][0])!r}")
     n, sig = gaussian.dimension, gaussian.sigma
     lognorm = (n - 1) * math.log(2.0) + log_gamma(n / 2.0)
-    with np.errstate(over="ignore"):  # t or (t/2)^2 beyond the range: exp gives 0
+    with np.errstate(over="ignore"):  # where t or (t/2)^2 overflows, exp gives 0
         t = np.minimum(s / sig, sys.float_info.max)
         pos = t > 0.0
         # log t only where t > 0: at t = 0 the power is 1 (n = 1) or 0
-        out = np.exp((n - 1) * np.log(np.where(pos, t, 1.0)) - np.square(t / 2.0) - lognorm)
-    out /= sig
+        out = np.exp((n - 1) * np.log(np.where(pos, t, 1.0)) - np.square(t / 2.0) - lognorm) / sig
+    if np.any(np.isinf(out)):  # P is about 0.4/sigma: inf at a subnormal sigma
+        raise PrecisionError("the Gaussian PDF leaves the double range")
     if n > 1:
         out = np.where(pos, out, 0.0)
     return out if out.ndim else float(out)

@@ -41,7 +41,6 @@ from nballdist.arbitrary import (
     _EX2_F2,
     _EX2_F3,
     _EX2_POLY,
-    _EX2_SQRT,
     _EX3_POLY,
     _EX4_ASIN,
     _EX4_POLY,
@@ -223,16 +222,18 @@ def test_example_values_frozen():
     assert pdf_example_4d(BallGeometry(4, 1.0), 1.0) == pytest.approx(0.4889745270695727, rel=1e-13)
 
 
-def _printed_form_mp(poly, root, asin, s, R):
-    """poly(s) - sqrt(4R^2 - s^2)/pi sum_k c_k s^k / R^(k+2) - asin(s/2R)/pi asin(s)
-    at 50 digits, from the printed tables (poly and asin carry R^(k+1))."""
+def _printed_form_mp(poly, roots, asin, s, R):
+    """poly(s) - sqrt(4R^2 - s^2)/pi sum of the root tables, each sum_k c_k s^k / R^(k+2),
+    - asin(s/2R)/pi asin(s) at 50 digits, from the printed tables (poly and
+    asin carry R^(k+1)); ``roots`` holds (sign, table) pairs."""
     with mp.workdps(50):
         s, R = mp.mpf(s), mp.mpf(R)
 
         def ev(table, extra):
             return sum(mp.mpf(c.numerator) / c.denominator * s ** k / R ** (k + 1 + extra)
                        for k, c in table.items())
-        return (ev(poly, 0) - mp.sqrt(4 * R * R - s * s) / mp.pi * ev(root, 1)
+        root = sum(sign * ev(table, 1) for sign, table in roots)
+        return (ev(poly, 0) - mp.sqrt(4 * R * R - s * s) / mp.pi * root
                 - mp.asin(s / (2 * R)) / mp.pi * ev(asin, 0))
 
 
@@ -241,11 +242,10 @@ def test_examples_2d_4d_against_mpmath(n, R):
     # the three printed terms cancelled near 2R: 3.5e-11 (2d) and 3.4e-10 (4d)
     # relative on this grid at R = 1, 2.3e-10 and 8.6e-10 at R = 3
     if n == 2:
-        fn, tables = pdf_example_2d, (_EX2_POLY, _EX2_SQRT, _EX2_ASIN)
-        assert _EX2_SQRT == {k: _EX2_F1.get(k, 0) + _EX2_F2.get(k, 0) - _EX2_F3.get(k, 0)
-                             for k in range(19) if k in {*_EX2_F1, *_EX2_F2, *_EX2_F3}}
+        fn, tables = pdf_example_2d, (_EX2_POLY, ((1, _EX2_F1), (1, _EX2_F2), (-1, _EX2_F3)),
+                                      _EX2_ASIN)
     else:
-        fn, tables = pdf_example_4d, (_EX4_POLY, _EX4_SQRT, _EX4_ASIN)
+        fn, tables = pdf_example_4d, (_EX4_POLY, ((1, _EX4_SQRT),), _EX4_ASIN)
     s = np.linspace(0.01, 1.99, 397) * R
     got = fn(BallGeometry(n, R), s)
     for x, v in zip(s, got):

@@ -537,6 +537,12 @@ def test_gaussian_tails_beyond_the_double_range_are_zero():
     assert pdf_gaussian(GaussianBall(3, 1e-300), 1e300) == 0.0
 
 
+def test_gaussian_beyond_the_double_range_raises():
+    # P(2 sigma) = 0.415/sigma overflows at a subnormal sigma; it was nan
+    with pytest.raises(PrecisionError):
+        pdf_gaussian(GaussianBall(3, 1e-310), 2e-310)
+
+
 # ---------------------------------------------------------------------------
 # Multi-shell models
 # ---------------------------------------------------------------------------
