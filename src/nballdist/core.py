@@ -5,10 +5,12 @@ self-energies are built on the functions in this module (the chi-square
 p-values of montecarlo call ``scipy.special.gammaincc`` directly):
 log-gamma, beta, incomplete beta, regularized incomplete beta, upper
 incomplete gamma, and the specific Gauss hypergeometric family
-2F1(1/2, (1-n)/2; 3/2; x). They are thin wrappers that check the domain
+2F1(1/2, (1-n)/2; 3/2; x). Most are thin wrappers that check the domain
 (raising ``DomainError``) and then call ``math.lgamma`` or ``scipy.special``
-(``betainc``, ``gammaincc``, ``exp1``); only the terminating odd-n 2F1 sum
-is evaluated here.
+(``betainc``, ``gammaincc``, ``exp1``). Two are summed here: the
+terminating odd-n 2F1 sum, and, where Q(a, b) underflows, the continued
+fraction of ``inc_gamma_upper`` (``_inc_gamma_upper_cf``), whose exponent is
+summed in 40-digit decimal.
 
 All functions are pure: same inputs give bit-identical outputs, and there is
 no shared mutable state, so every operation here is thread-safe.
@@ -333,23 +335,24 @@ def density_bound(model: DensityModel, geometry: BallGeometry) -> float:
         roots = poly.polyroots(poly.polyder(q)).real
         t = np.concatenate([np.linspace(0.0, 1.0, 4097), roots[(roots > 0.0) & (roots < 1.0)]])
         unit = float(np.max(poly.polyval(t, q))) * (1.0 + 1e-9) + 1e-300
-        if not -1021 <= math.frexp(unit)[1] + (e or 0) <= 1024:  # 2^e unit is normal
+        if not -1021 <= math.frexp(unit)[1] + e <= 1024:  # 2^e unit is normal
             raise PrecisionError("the density bound on this ball is not a normal double")
-        return math.ldexp(unit, e or 0)
+        return math.ldexp(unit, e)
     raise InvalidDensityError(f"no bound rule for {type(model).__name__}")
 
 
 def _scaled_coefficients(model: RadialPolynomial, radius: float) -> tuple:
-    """(q, e) with sum_k c_k r^k = 2^e sum_k q_k (r/R)^k on the ball of
-    radius R. Where R and the largest |c_k R^k| lie within about 2^(+-32),
-    q_k is c_k R^k, computed directly, and e is None (read it as 0);
-    elsewhere the powers of R are split into mantissa and exponent, so that
-    no c_k R^k need be representable, and the largest |q_k| lies in [1/2, 1)."""
+    """(q, e) with sum_k c_k r^k = 2^e sum_k q_k (r/R)^k: the profile on the
+    unit ball. Where R and the largest |c_k R^k| lie within about 2^(+-32),
+    q_k is c_k R^k, computed directly, and e = 0, which keeps the R = 1
+    bytes of ``log_density_mass``; elsewhere the powers of R are split into
+    mantissa and exponent, so that no c_k R^k need be representable, and
+    the largest |q_k| lies in [1/2, 1)."""
     m, e = math.frexp(radius)
     terms = [c * m ** k for k, c in enumerate(model.coefficients)]
     top = max((math.frexp(t)[1] + k * e for k, t in enumerate(terms) if t), default=0)
     if abs(top) <= 32 and abs(e) <= 32:
-        return tuple(c * radius ** k for k, c in enumerate(model.coefficients)), None
+        return tuple(c * radius ** k for k, c in enumerate(model.coefficients)), 0
     return tuple(math.ldexp(t, k * e - top) for k, t in enumerate(terms)), top
 
 
@@ -381,7 +384,7 @@ def _radial_moment(model: DensityModel, geometry: BallGeometry):
         return 1.0 / n, 0
     if isinstance(model, RadialPolynomial):
         q, e = _scaled_coefficients(model, R)
-        return sum(c / (n + k) for k, c in enumerate(q)), e or 0
+        return sum(c / (n + k) for k, c in enumerate(q)), e
     if isinstance(model, ParabolicRadial):
         return 1.0 / n - model.alpha / (n + 2.0), 0
     if isinstance(model, MultiShell):

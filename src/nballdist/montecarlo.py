@@ -376,24 +376,22 @@ def pair_histogram(points: np.ndarray, pairs: int, edges: np.ndarray,
     Distances are formed and binned a block of rows at a time; the counts are
     those of one ``np.histogram`` over all the distances, bit for bit. Given
     ``counts`` (int64), they are added into it, and the histogram holds it.
-    Where the last edge lies outside 2^(+-32), the differences and the edges
-    are scaled by the exact power of two that brings it into [1/2, 1), so
-    that squared distances up to the last edge stay in the double range (one
-    whose square still underflows lies deep in the first bin); the scaling
-    is exact and moves no distance across an edge.
+    Distances are binned in units of the power of two that brings the last
+    edge (2R) into [1/2, 1): the differences and the edges are scaled by it,
+    so that squared distances up to the last edge stay in the double range
+    at every R (one whose square still underflows lies deep in the first
+    bin). The scaling is exact and moves no distance across an edge.
     """
     n = points.shape[1]
     rows = _rows_per_block(n)
     if counts is None:
         counts = np.zeros(len(edges) - 1, dtype=np.int64)
     shift = -math.frexp(float(edges[-1]))[1]
-    scaled = abs(shift) > 32
-    bins = np.ldexp(edges, shift) if scaled else edges
+    bins = np.ldexp(edges, shift)
     for lo in range(0, pairs, rows):
         hi = min(lo + rows, pairs)
         d = points[pairs + lo:pairs + hi] - points[lo:hi]
-        if scaled:
-            np.ldexp(d, shift, out=d)
+        np.ldexp(d, shift, out=d)
         dist = _row_sumsq(d)
         np.sqrt(dist, out=dist)
         counts += np.histogram(dist, bins=bins)[0]

@@ -110,17 +110,16 @@ def pdf_radial_parabolic(geometry: BallGeometry, alpha: float, s):
 # General radial densities, numerically
 # ---------------------------------------------------------------------------
 
-def _scalar_radial(density: DensityModel, geometry: BallGeometry):
-    """Fast scalar rho(r) closure; the nested quadratures call this millions
-    of times, so no numpy round-trips."""
-    R = geometry.radius
+def _scalar_radial(density: DensityModel):
+    """Fast scalar rho(r) closure on the unit ball; the nested quadratures
+    call this millions of times, so no numpy round-trips."""
     if isinstance(density, Uniform):
-        return lambda r: 1.0 if r <= R else 0.0
+        return lambda r: 1.0 if r <= 1.0 else 0.0
     if isinstance(density, RadialPolynomial):
         coeffs = tuple(reversed(density.coefficients))
 
         def poly(r):
-            if r > R:
+            if r > 1.0:
                 return 0.0
             acc = 0.0
             for c in coeffs:
@@ -129,24 +128,24 @@ def _scalar_radial(density: DensityModel, geometry: BallGeometry):
         return poly
     if isinstance(density, ParabolicRadial):
         alpha = density.alpha
-        return lambda r: 1.0 - alpha * (r / R) ** 2 if r <= R else 0.0
+        return lambda r: 1.0 - alpha * r ** 2 if r <= 1.0 else 0.0
 
 
-def _edge_profile(density: DensityModel, geometry: BallGeometry):
+def _edge_profile(density: DensityModel):
     """Coefficients p_j, lowest power first, of the polynomial p with
-    rho(r) = p(1 - r^2/R^2) on the ball, or None where rho has an odd power
-    of r. In the distance 1 - r^2/R^2 to the edge the parabolic profile is
+    rho(r) = p(1 - r^2) on the unit ball, or None where rho has an odd power
+    of r. In the distance 1 - r^2 to the edge the parabolic profile is
     (1 - alpha) + alpha v, whose terms never cancel."""
     if isinstance(density, RadialPolynomial):
         c = density.coefficients
         if any(c[1::2]):
             return None
-        q = [c[k] * geometry.radius ** k for k in range(0, len(c), 2)]
+        q = list(c[::2])
     elif isinstance(density, ParabolicRadial):
         q = [1.0, -density.alpha]
     else:  # Uniform
         q = [1.0]
-    # rho(r) = q(r^2/R^2), and p(v) = q(1 - v)
+    # rho(r) = q(r^2), and p(v) = q(1 - v)
     return [(-1) ** j * sum(math.comb(i, j) * q[i] for i in range(j, len(q)))
             for j in range(len(q))]
 
@@ -174,95 +173,95 @@ def _slice_table(p: list, n: int) -> list:
     return rows[::-1]
 
 
-def _radial_kernel(geometry: BallGeometry, density: DensityModel, epsabs: float,
+def _radial_kernel(n: int, density: DensityModel, epsabs: float,
                    log_scale: float = 0.0):
-    """The function of s that gives exp(log_scale) s^(n-1) * int over the lens
-    of rho(X) rho(X - s e_n), for a smooth profile (uniform, radial
-    polynomial or parabolic), with everything that does not depend on s
+    """The function of t = s/R and w = 2 - t, w formed without cancellation,
+    that gives exp(log_scale) t^(n-1) * int over the lens of rho(X)
+    rho(X - t e_n) on the unit ball, for a smooth profile (uniform, radial
+    polynomial or parabolic), with everything that does not depend on t
     worked out once. The integral is reduced to one integral over the slice
-    height x in [s/2, R] of the slice integral J(x).
+    height x in [t/2, 1] of the slice integral J(x).
 
     For n >= 2, J(x) is the integral over the perpendicular (n-1)-ball of
-    radius T = sqrt(R^2 - x^2), a radial integral in t weighted by the
+    radius T = sqrt(1 - x^2), a radial integral in r weighted by the
     (n-2)-sphere area; for n = 1 the slice is the single point,
-    J(x) = rho(x) rho(|x - s|). Where rho is a polynomial in r^2 (uniform,
+    J(x) = rho(x) rho(|x - t|). Where rho is a polynomial in r^2 (uniform,
     parabolic, radial polynomials without odd powers), J is exact: with
-    t = T z and the distances tau = T^2/R^2, d = s (2x - s)/R^2 of the two
-    points' slice circles to the edge, J = T^(n-1) K(tau, d), the polynomial
-    of ``_slice_table``. A profile with odd powers takes an inner QUADPACK
-    integral in t instead.
+    r = T z and the distances tau = T^2, d = t (2x - t) of the two points'
+    slice circles to the edge, J = T^(n-1) K(tau, d), the polynomial of
+    ``_slice_table``. A profile with odd powers takes an inner QUADPACK
+    integral in r instead.
 
-    J has an algebraic edge at x = R, the factor (R^2 - x^2)^((n-1)/2); the
-    map x = s/2 + h (1 - cos pi v), v in [0, 1], h the half width of [s/2, R],
-    has a Jacobian that vanishes at both ends and smooths it, so QUADPACK's
-    first 21-node rule usually meets the request.
+    J has an algebraic edge at x = 1, the factor (1 - x^2)^((n-1)/2); the
+    map x = t/2 + h (1 - cos pi v), v in [0, 1], h = w/4 the half width of
+    [t/2, 1], has a Jacobian that vanishes at both ends and smooths it, so
+    QUADPACK's first 21-node rule usually meets the request.
 
-    The factor exp(log_scale) s^(n-1) |S^(n-2)| that multiplies the integral
+    The factor exp(log_scale) t^(n-1) |S^(n-2)| that multiplies the integral
     of J is formed in log space, so it stays finite in every dimension. For
     the exact slices it also holds the half width h and T0^(n-1): their
-    T^(n-1) is taken relative to the widest slice's T0 = sqrt(R^2 - s^2/4),
-    and the integral that remains is of order 1/n for every R. ``epsabs`` is
-    requested on the returned value: the integrals of J get epsabs divided
-    by that factor wherever it exceeds 1, and epsabs itself elsewhere.
-    The function raises PrecisionError where the factor overflows.
+    T^(n-1) is taken relative to the widest slice's T0 = sqrt(1 - t^2/4),
+    and the integral that remains is of order 1/n. ``epsabs`` is requested
+    on the returned value: the integrals of J get epsabs divided by that
+    factor wherever it exceeds 1, and epsabs itself elsewhere. The function
+    raises PrecisionError where the factor overflows.
     """
-    n, R = geometry.dimension, geometry.radius
-    rho = _scalar_radial(density, geometry)
+    rho = _scalar_radial(density)
     if n > 1:
         # ln Gamma((n-1)/2), for ln |S^(n-2)| = ln 2 pi^((n-1)/2) / Gamma((n-1)/2),
         # through the kernel's log_gamma, whose calls the benchmark's trace counts
         lg = log_gamma((n - 1) / 2.0)
-    p = _edge_profile(density, geometry) if n > 1 else None
+    p = _edge_profile(density) if n > 1 else None
     if p is not None:
         table = _slice_table(p, n)
-        half, r2 = (n - 1) / 2.0, R * R
+        half = (n - 1) / 2.0
 
-    def at(s: float) -> float:
-        if s >= 2.0 * R:
+    def at(t: float, w: float) -> float:
+        if w <= 0.0:
             return 0.0
         if n == 1:
             log_factor = log_scale
-        elif s == 0.0:
+        elif t == 0.0:
             return 0.0
         else:
-            log_factor = (log_scale + (n - 1) * math.log(s) + math.log(2.0)
+            log_factor = (log_scale + (n - 1) * math.log(t) + math.log(2.0)
                           + (n - 1) / 2.0 * math.log(math.pi) - lg)
-        lo, h = s / 2.0, (R - s / 2.0) / 2.0
+        lo, h = t / 2.0, w / 4.0
         # dx/dv = h pi sin(pi v); the exact slices take h, and T0^(n-1) with
-        # T0^2 = R^2 - s^2/4 = 2h (R + s/2) the widest slice's squared radius,
+        # T0^2 = 1 - t^2/4 = 2h (1 + t/2) the widest slice's squared radius,
         # into the factor, so that the integral itself is of order 1/n
         scale = h
         if p is not None:
-            log_factor += half * math.log(2.0 * h * (R + lo)) + math.log(h)
+            log_factor += half * math.log(2.0 * h * (1.0 + lo)) + math.log(h)
             scale = 1.0
         if log_factor > _LOG_MAX:
-            raise PrecisionError(f"radial PDF leaves the double range at n={n}, s={s!r}")
+            raise PrecisionError(f"radial PDF leaves the double range at n={n}, s/R={t!r}")
         factor = math.exp(log_factor)
         eps = epsabs / max(factor, 1.0)
 
         if n == 1:
             def slice_at(c):
                 x = lo + h * (1.0 - c)
-                return rho(x) * rho(abs(x - s))
+                return rho(x) * rho(abs(x - t))
         elif p is None:
             def slice_at(c):
                 x = lo + h * (1.0 - c)
-                tmax = math.sqrt(max(R * R - x * x, 0.0))
-                return quad(lambda t: t ** (n - 2) * rho(math.hypot(x, t)) * rho(math.hypot(x - s, t)),
-                            0.0, tmax, epsabs=eps, limit=200)[0]
+                rmax = math.sqrt(max(1.0 - x * x, 0.0))
+                return quad(lambda r: r ** (n - 2) * rho(math.hypot(x, r)) * rho(math.hypot(x - t, r)),
+                            0.0, rmax, epsabs=eps, limit=200)[0]
         else:
             def slice_at(c):
-                # R - x = h (1 + c) and 2x - s = 2h (1 - c), both without cancellation
-                rpx = R + lo + h * (1.0 - c)
-                tau = h * (1.0 + c) * rpx / r2
-                d = 2.0 * s * h * (1.0 - c) / r2
+                # 1 - x = h (1 + c) and 2x - t = 2h (1 - c), both without cancellation
+                rpx = 1.0 + lo + h * (1.0 - c)
+                tau = h * (1.0 + c) * rpx
+                d = 2.0 * t * h * (1.0 - c)
                 total = 0.0
                 for row in table:
                     acc = 0.0
-                    for w in row:
-                        acc = acc * d + w
+                    for v in row:
+                        acc = acc * d + v
                     total = total * tau + acc
-                return (0.5 * (1.0 + c) * rpx / (R + lo)) ** half * total
+                return (0.5 * (1.0 + c) * rpx / (1.0 + lo)) ** half * total
 
         def outer(v):
             u = math.pi * v
@@ -282,26 +281,24 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s,
 
     Shells (``MultiShell``) take the exact cap-volume sum of ``_shells_pdf``,
     the kernel of ``pdf_uniform`` applied to the balls whose differences are
-    the shells; ``tol`` does not apply to them. Smooth profiles take one
-    adaptive quadrature per point over the slice height x in [s/2, R],
-    cosine-mapped, of the slice integral over the perpendicular (n-1)-ball
-    (see ``_radial_kernel``): exact where rho is a polynomial in r^2,
-    a nested quadrature where it has odd powers of r.
-    That curve is divided by its exact integral over [0, 2R],
-    (Int_B rho)^2 / (2 |S^(n-1)|) from ``log_density_mass``, in log space,
-    so it has unit mass up to the quadrature error in every dimension. The
-    absolute error is requested at tol/100 on P itself (QUADPACK's default
-    relative request, 1.5e-8, still applies); it stays within ``tol`` in
-    every case checked. At the default, smooth profiles are within 1e-13 of
-    the closed forms up to n = 100; polynomials in r^2 keep 1.2e-11
-    relative accuracy, tails included, up to n = 3000.
-
-    A radial polynomial must be nonnegative on the ball
-    (``core._check_nonnegative``). Where R or the profile's size lies beyond
-    about 2^(+-32) (see ``core._scaled_coefficients``), it is evaluated on
-    the unit ball, P(s; R) = P(s/R; 1)/R, with its coefficients scaled to
-    it, so that it works for every R in the double range; ``tol`` then
-    applies to R P.
+    the shells; ``tol`` does not apply to them. Smooth profiles are
+    evaluated on the unit ball at every R, P(s; R) = P(s/R; 1)/R, a radial
+    polynomial with its coefficients scaled to it by
+    ``core._scaled_coefficients``. The kernel (``_radial_kernel``) takes
+    t = s/R and w = 2 - t, formed as 2 (R - s/2)/R, whose difference is
+    exact for s >= R, and one adaptive quadrature per point over the
+    cosine-mapped slice height of the slice integral over the perpendicular
+    (n-1)-ball: exact where rho is a polynomial in r^2, a nested quadrature
+    where it has odd powers of r. That curve is divided by its exact
+    integral over [0, 2], (Int_B rho)^2 / (2 |S^(n-1)|) from
+    ``log_density_mass``, in log space, so it has unit mass up to the
+    quadrature error in every dimension. The absolute error is requested at
+    tol/100 on R P (QUADPACK's default relative request, 1.5e-8, still
+    applies); it stays within ``tol`` in every case checked. At the
+    default, smooth profiles are within 1e-13 of the closed forms up to
+    n = 100; polynomials in r^2 keep 1.2e-11 relative accuracy, tails
+    included, up to n = 3000. A radial polynomial must be nonnegative on
+    the ball (``core._check_nonnegative``).
     """
     if not density_is_radial(density):
         raise InvalidDensityError(f"{type(density).__name__} is not a radial density model")
@@ -312,26 +309,20 @@ def pdf_radial_numeric(geometry: BallGeometry, density: DensityModel, s,
     if isinstance(density, MultiShell):
         return _shells_pdf(geometry, density, s)
     s = _as_support(geometry, s)
-    n = geometry.dimension
-    scale = 1.0
+    n, R = geometry.dimension, geometry.radius
     if isinstance(density, RadialPolynomial):
         _check_nonnegative(density, geometry)
-        q, e = _scaled_coefficients(density, geometry.radius)
-        if e is not None:
-            # P(s; R) = P(s/R; 1) / R, with rho(R t) = 2^e sum_k q_k t^k
-            scale = geometry.radius
-            density = RadialPolynomial(q)
-    elif abs(math.frexp(geometry.radius)[1]) > 32:
-        # the uniform and parabolic profiles depend on r/R alone
-        scale = geometry.radius
-    if scale != 1.0:
-        geometry, s = BallGeometry(n, 1.0), s / scale
-    log_mass = log_density_mass(density, geometry)
+        # rho(R t) = 2^e sum_k q_k t^k; 2^e cancels in the normalization
+        density = RadialPolynomial(_scaled_coefficients(density, R)[0])
+    log_mass = log_density_mass(density, BallGeometry(n, 1.0))
     if log_mass == -math.inf:
         raise InvalidDensityError("density integrates to zero over the ball")
     log_norm = 2.0 * log_mass - math.log(2.0) - log_sphere_area(n)
-    kernel = _radial_kernel(geometry, density, tol * 1e-2, -log_norm)
-    out = np.array([kernel(v) for v in s.ravel().tolist()]).reshape(s.shape) / scale
+    kernel = _radial_kernel(n, density, tol * 1e-2, -log_norm)
+    # not (2R - s)/R, which overflows at the largest R
+    w = 2.0 * ((R - s / 2.0) / R)
+    out = np.array([kernel(a, b) for a, b in zip((s / R).ravel().tolist(), w.ravel().tolist())])
+    out = out.reshape(s.shape) / R
     return out if out.ndim else float(out)
 
 
