@@ -122,6 +122,9 @@ class BallGeometry:
             raise DomainError(f"dimension must be a positive integer, got {self.dimension!r}")
         if not (self.radius > 0.0) or not math.isfinite(self.radius):
             raise DomainError(f"radius must be positive and finite, got {self.radius!r}")
+        if not math.isfinite(2.0 * float(self.radius)):
+            raise DomainError(f"radius {self.radius!r} is too large: the diameter 2R "
+                              "leaves the double range")
 
     @property
     def diameter(self) -> float:

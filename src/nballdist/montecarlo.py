@@ -2,8 +2,11 @@
 chi-square comparison of empirical against analytic densities.
 
 Uniform, Gaussian, shell and Cartesian-monomial densities are sampled
-directly; radial polynomials, the parabolic profile and ``GeneralCartesian``
-callbacks are sampled by rejection against the uniform ball.
+directly. Radial polynomials and the parabolic profile are sampled by
+rejection of radii on the unit ball, and each kept radius then draws a
+direction: from points of the unit disk at n = 2, 3 and 4, from n normals
+otherwise. ``GeneralCartesian`` callbacks are sampled by rejection against
+the uniform ball.
 
 Sampling is deterministic: a ``SamplerConfig`` fixes (seed, stream_id, count)
 and the same configuration always reproduces the same batch bit for bit.
@@ -269,6 +272,63 @@ def _monomial_points(geometry: BallGeometry, model: CartesianMonomial,
     return z
 
 
+def _disk_points(stream: CounterStream, count: int) -> tuple:
+    """The next ``count`` points uniform in the unit disk, as (v1, v2, s),
+    s = v1^2 + v2^2. Each batch draws m pairs v = 2U - 1, the m values of v1
+    and then the m of v2, about 1.3 times the points still needed (pi/4 of
+    the pairs fall in the disk) plus 16, and keeps those with 0 < s < 1 in
+    order."""
+    v1, v2, s = np.empty(count), np.empty(count), np.empty(count)
+    got = 0
+    while got < count:
+        need = count - got
+        m = need + need * 3 // 10 + 16
+        u = stream.uniforms(2 * m)
+        u *= 2.0
+        u -= 1.0
+        a, b = u[:m], u[m:]
+        r = a * a
+        r += b * b
+        keep = np.flatnonzero((r > 0.0) & (r < 1.0))[:need]
+        k = len(keep)
+        v1[got:got + k] = a[keep]
+        v2[got:got + k] = b[keep]
+        s[got:got + k] = r[keep]
+        got += k
+    return v1, v2, s
+
+
+def _disk_directions(stream: CounterStream, rows: np.ndarray) -> None:
+    """Uniform directions on the sphere S^(n-1), n = 2, 3 or 4, written into
+    the (k, n) ``rows`` from points v of the unit disk, with no trigonometry
+    (Marsaglia 1972, Ann. Math. Statist. 43:645): v / sqrt(s) on the circle,
+    (2 v1 sqrt(1 - s), 2 v2 sqrt(1 - s), 1 - 2 s) on S^2, and on S^3
+    (v1, v2, w1 c, w2 c) with w the next k disk points and
+    c = sqrt((1 - s) / s_w)."""
+    k, n = rows.shape
+    v1, v2, s = _disk_points(stream, k if n < 4 else 2 * k)
+    if n == 2:
+        np.sqrt(s, out=s)
+        np.divide(v1, s, out=rows[:, 0])
+        np.divide(v2, s, out=rows[:, 1])
+    elif n == 3:
+        np.multiply(s, -2.0, out=rows[:, 2])
+        rows[:, 2] += 1.0
+        np.subtract(1.0, s, out=s)
+        np.sqrt(s, out=s)
+        s *= 2.0
+        np.multiply(v1, s, out=rows[:, 0])
+        np.multiply(v2, s, out=rows[:, 1])
+    else:
+        rows[:, 0] = v1[:k]
+        rows[:, 1] = v2[:k]
+        c = np.subtract(1.0, s[:k])
+        c /= s[k:]
+        np.sqrt(c, out=c)
+        np.multiply(v1[k:], c, out=rows[:, 2])
+        np.multiply(v2[k:], c, out=rows[:, 3])
+
+
 def _rejection_points(geometry: BallGeometry, density: DensityModel,
                       stream: CounterStream, count: int) -> np.ndarray:
     """Rejection sampling against the model's certified bound.
@@ -279,8 +339,10 @@ def _rejection_points(geometry: BallGeometry, density: DensityModel,
     Each chunk draws the radii t = U^(1/n) of its proposals, then their
     acceptance uniforms, and accepts on rho(t) alone, evaluated on (m, 1)
     rows of t (|t| is t exactly). Only the kept radii then draw a direction,
-    n normals each, and their points are R t times it. A ``GeneralCartesian``
-    proposes uniform points of the ball itself."""
+    and their points are R t times it: at n = 2, 3 and 4 from points of the
+    unit disk (``_disk_directions``), written into the output rows and
+    scaled column by column, and otherwise from n normals each. A
+    ``GeneralCartesian`` proposes uniform points of the ball itself."""
     n, R = geometry.dimension, geometry.radius
     radial = not isinstance(density, GeneralCartesian)
     model, on = density, geometry
@@ -306,12 +368,20 @@ def _rejection_points(geometry: BallGeometry, density: DensityModel,
         if np.any(vals > bound * (1.0 + 1e-9)):
             raise InvalidDensityError("density exceeds its certified bound")
         keep = cand[u * bound < vals][:count - got]
-        if radial:
-            z = _normal_rows(stream, n, len(keep), None)
+        k = len(keep)
+        if radial and 2 <= n <= 4:
+            rows = out[got:got + k]
+            _disk_directions(stream, rows)
+            rt = R * keep[:, 0]
+            for j in range(n):
+                rows[:, j] *= rt
+        elif radial:
+            z = _normal_rows(stream, n, k, None)
             _scale_rows(z, R * keep[:, 0])
-            keep = z
-        out[got:got + len(keep)] = keep
-        got += len(keep)
+            out[got:got + k] = z
+        else:
+            out[got:got + k] = keep
+        got += k
         proposals += _REJECTION_CHUNK
         if proposals >= 2_000_000 and got / proposals < 1e-6:
             raise EfficiencyError(
@@ -336,7 +406,8 @@ def sample_density(geometry: BallGeometry, density: DensityModel,
     coordinate and unit exponentials) are sampled directly, and serve a
     ``config.window``. RadialPolynomial and ParabolicRadial are sampled by
     rejection of radii on the unit ball, with directions drawn for the kept
-    radii only; GeneralCartesian by rejection against the uniform-ball
+    radii only (from unit-disk points at n = 2, 3 and 4, from n normals
+    otherwise); GeneralCartesian by rejection against the uniform-ball
     proposal. Both use the model's certified bound and draw whole batches.
     """
     stream = _stream_for(config)

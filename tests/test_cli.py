@@ -173,6 +173,19 @@ def test_pdf_shell_sidecar_out_of_range_exit_3(tmp_path, R, shells):
     assert os.listdir(tmp_path) == []
 
 
+def test_pdf_radius_whose_diameter_overflows_exit_3(tmp_path, capsys):
+    # 2R = inf: linspace warned and the run exited 3 with "s=nan outside the support"
+    assert run(tmp_path, "pdf", "-n", "3", "-R", "1e308", "--density", "uniform",
+               "-o", "huge.csv") == 3
+    assert "radius 1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "huge.csv").exists()
+    assert run(tmp_path, "pdf", "-n", "3", "-R", "8e307", "--density", "uniform",
+               "--grid", "5", "-o", "big.csv") == 0
+    _, rows = read_csv(tmp_path / "big.csv")
+    values = [float(r[1]) for r in rows]
+    assert values[0] == 0.0 and values[-1] == 0.0 and all(v > 0.0 for v in values[1:-1])
+
+
 def test_compare_shells_at_huge_radius(tmp_path):
     # in absolute units the analytic curve was up to 80 % off here (exit 4)
     assert run(tmp_path, "compare", "-n", "3", "-R", "1e100", "--density", "shells:5e99,1e100;1,2",
@@ -608,9 +621,13 @@ def test_compare_deterministic_across_threads(tmp_path):
     assert rep1 == rep4
 
 
-def test_compare_monomial_deterministic_across_threads(tmp_path):
+@pytest.mark.parametrize("n,density", [("2", "monomial:4,4"), ("3", "radial-poly:0,0,1"),
+                                       ("4", "parabolic:0.5")],
+                         ids=["monomial-n2", "r2-n3", "parabolic-n4"])
+def test_compare_monomial_deterministic_across_threads(tmp_path, n, density):
+    # the direct monomial sampler and the rejection sampler's disk directions
     for threads in ("1", "2"):
-        assert run(tmp_path, "compare", "-n", "2", "--density", "monomial:4,4",
+        assert run(tmp_path, "compare", "-n", n, "--density", density,
                    "--pairs", "40000", "--bins", "32", "--seed", "7",
                    "--threads", threads, "-o", f"m{threads}") == 0
     assert (tmp_path / "m1.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()

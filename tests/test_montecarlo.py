@@ -1,4 +1,5 @@
 """Seeded samplers, histograms, and the chi-square comparison engine."""
+import hashlib
 import math
 
 import numpy as np
@@ -200,14 +201,16 @@ def _radial_cdf(q, n):
 
 @pytest.mark.parametrize("n,density,q", [
     (1, RadialPolynomial((0, 0, 1)), (0, 0, 1)),
+    (2, RadialPolynomial((0, 0, 1)), (0, 0, 1)),
     (3, RadialPolynomial((0, 0, 1)), (0, 0, 1)),
     (6, RadialPolynomial((0, 0, 1)), (0, 0, 1)),
     (4, ParabolicRadial(0.5), (1, 0, -0.5)),
     (4, RadialPolynomial((1, 2, -3)), (1, 2, -3)),  # maximum at r = R/3
-], ids=["r2-n1", "r2-n3", "r2-n6", "parabolic-n4", "interior-max-n4"])
+], ids=["r2-n1", "r2-n2", "r2-n3", "r2-n6", "parabolic-n4", "interior-max-n4"])
 def test_radial_rejection_radii_and_directions(n, density, q):
     # radii against the exact radial CDF, directions against the uniform
-    # sphere, whose coordinate x_i/|x| has (1 + x_i/|x|)/2 ~ Beta((n-1)/2, (n-1)/2)
+    # sphere, whose coordinate x_i/|x| has (1 + x_i/|x|)/2 ~ Beta((n-1)/2, (n-1)/2);
+    # n = 2, 3 and 4 take their directions from disk points, n = 1 and 6 from normals
     R = 1.0 if isinstance(density, RadialPolynomial) else 1.3
     pts = sample_density(BallGeometry(n, R), density, SamplerConfig(seed=11, count=100_000))
     r = np.linalg.norm(pts, axis=1)
@@ -589,8 +592,8 @@ def test_window_draws_only_its_own_words():
                      (2 * m + lo, hi - lo), (2 * m + P + lo, hi - lo)]
 
 
-# Seed-42 counts recorded before pair windows existed: any change to the
-# stream, a sampler or the pair layout changes them.
+# Seed-42 counts, the first six recorded before pair windows existed: any
+# change to the stream, a sampler or the pair layout changes them.
 PINNED_COUNTS = [
     (BallGeometry(1), Uniform(), [672, 624, 497, 445, 339, 242, 136, 45]),
     (BallGeometry(3), Uniform(), [48, 250, 475, 648, 676, 563, 279, 61]),
@@ -602,6 +605,9 @@ PINNED_COUNTS = [
     # one normal per coordinate and unit exponentials: chi-square 6.44, 7 dof,
     # against pdf_example_3d
     (BallGeometry(3), CartesianMonomial((2, 2, 2)), [96, 222, 214, 388, 571, 660, 581, 268]),
+    # radii rejected on the unit ball, directions from points of the unit disk
+    (BallGeometry(3), RadialPolynomial((0, 0, 1)), [52, 237, 347, 499, 607, 692, 450, 116]),
+    (BallGeometry(4), ParabolicRadial(0.5), [8, 119, 418, 706, 802, 651, 260, 36]),
 ]
 
 
@@ -610,6 +616,18 @@ PINNED_COUNTS = [
 def test_pinned_seed_42_histograms(g, density, counts):
     hist = empirical_pair_pdf(g, density, 3000, 8, SamplerConfig(42, 0))
     assert hist.counts.tolist() == counts
+
+
+@pytest.mark.parametrize("n,digest", [
+    (2, "0cab50a262cec9904bef8bbb3109d26d2a0ffc8c461c4e5a3d84b212edb0a2a2"),
+    (3, "a8fcd2d7a441ccdcf8d45c2b5a92484d9dfd49919ba2df24e94e2a149836ef14"),
+])
+def test_pinned_seed_42_general_cartesian_points(n, digest):
+    # the uniform-ball proposal of a GeneralCartesian: the radial profiles'
+    # directions moved to disk points, and this stream must not move with them
+    tilt = GeneralCartesian(lambda pts: 1.0 + pts[:, 0] * pts[:, -1], bound=2.0)
+    pts = sample_density(BallGeometry(n), tilt, SamplerConfig(42, 5000))
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("g,density,counts", [

@@ -85,6 +85,18 @@ def test_domain_errors():
         pdf_uniform(g, 2.0001)
 
 
+def test_radius_whose_diameter_overflows_refused():
+    # 2R = inf: pdf_uniform raised a raw OverflowError at the breakpoint 2R
+    with pytest.raises(DomainError, match="9e\\+307"):
+        pdf_uniform(BallGeometry(3, 9e307), 9e307)
+    with pytest.raises(DomainError):
+        BallGeometry(3, np.nextafter(0.5 * np.finfo(float).max, np.inf))
+    g = BallGeometry(3, 8e307)
+    assert g.diameter == 1.6e308
+    value = pdf_uniform(g, 8e307)
+    assert value == pytest.approx(pdf_uniform(BallGeometry(3, 1.0), 1.0) / 8e307, rel=1e-12)
+
+
 def _pdf_uniform_mpmath(n, s, radius=1.0):
     with mp.workdps(50):
         s, R = mp.mpf(s), mp.mpf(radius)
