@@ -17,24 +17,61 @@ values give statistically independent substreams of the same seed, and the
 mapping from (seed, stream, counter) to output is stateless, so any slice of
 the sequence can be generated on any worker.
 
-Normal deviates use the Box-Muller transform (two uniforms per pair), which
-keeps the uniform-word consumption deterministic: for k normals, m = (k+1)/2
-pairs (rounded down) take u1 from the next m words and u2 from the m after
-them, and the output holds the m values r cos(2 pi u2) followed by the m
-values r sin(2 pi u2), r = sqrt(-2 log(1 - u1)), cut to k.
+Normal deviates come from a 256-layer ziggurat (Marsaglia & Tsang 2000,
+"The Ziggurat Method for Generating Random Variables", J. Stat. Softw.
+5(8)), with the layer and the magnitude taken from independent bits of one
+word (Doornik 2005, "An Improved Ziggurat Method to Generate Normal Random
+Samples"). Normal e of a call that starts at counter c comes from
+w = word(c + e):
+
+    j = w & 511        layer j & 255; negative iff j >= 256
+    u = w >> 11        the top 53 bits
+    accept iff u < K[j & 255];  the value is then u * (X[j & 255] * 2^-53)
+
+Bits 9 and 10 are unused. Accepted values need no libm call. The tables
+come from the Marsaglia-Tsang recursion for f(x) = exp(-x^2/2), 256 layers
+of area v = 4.92867323399e-3 each, with r = 3.6541528853610088:
+
+    x_255 = r,  x_(i-1) = sqrt(-2 log(v / x_i + f(x_i)))   (i = 255 .. 2)
+    X_0 = v / f(r),  X_i = x_i                            (i >= 1)
+    K_0 = floor(2^53 r / X_0),  K_1 = 0,  K_i = floor(2^53 x_(i-1) / x_i)
+    F_0 = 1,  F_i = f(x_i)
+
+Layer i >= 1 is the box [0, x_i] x [F_i, F_(i-1)], and layer 0 the base box
+of width X_0 under f(r), the tail beyond r included. Built in double
+precision with the platform's exp and log, X is within 3.6e-14 relative of a
+50-digit recursion. The printed r and v do not close the stack exactly: the
+top layer's area x_1 (1 - f(x_1)) is 9.9e-10 relative below v.
+
+A normal whose word fails the test (1 - sum K / (256 * 2^53), about 1.5%)
+takes its further words from a companion sequence keyed by its own counter:
+with h = mix((base XOR 0x5851F42D4C957F2D) + (c + e + 1) * golden), attempt
+a = 0, 1, ... reads A = mix(h + (2a + 1) golden) and
+B = mix(h + (2a + 2) golden), and U(w) = (w >> 11) * 2^-53. In layer i >= 1
+(the wedge test) the point z = u * (X_i * 2^-53), signed, is kept iff
+F_i + U(A) (F_(i-1) - F_i) < exp(-0.5 z^2); otherwise B is a fresh main
+word (j, u) and the value if it passes the main test, and the next attempt
+starts from it if not. In layer 0 (Marsaglia's tail loop, which stays in
+the tail until it accepts) x = -log(1 - U(A)) / r and y = -log(1 - U(B)),
+and r + x, signed, is kept iff y + y >= x^2. The companion keys are words
+of another base, so they never read the counters of the main sequence: a
+call still draws exactly ``normal_words(k)`` words, 2 ceil(k/2). Only this
+slow path calls exp and log, numpy's, whose last bit may depend on the CPU.
 
 Every method works through blocks of ``_BLOCK`` elements with in-place
 operations, so its scratch memory stays cache-sized whatever k is. Blocking
 never changes an output bit: each element is computed by the same operations
-in the same order as in one whole-array pass.
+in the same order as in one whole-array pass, and a slow-path value depends
+only on its own counter, not on which failures are handled together.
 
 ``uniforms`` and ``normals`` also serve a window (lo, hi) of the next k
-values: elements [lo, hi) and [h + lo, h + hi), h = ceil(k/2), stacked. For
-normals these are r cos and r sin of Box-Muller pairs [lo, hi), so a window
-draws only the words of its own pairs, and its values are bit for bit those
-of the whole draw.
+values: elements [lo, hi) and [h + lo, h + hi), h = ceil(k/2), stacked. A
+window draws only the words of its own elements, and its values are bit for
+bit those of the whole draw.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,6 +88,42 @@ _BLOCK = 32768
 # (j + 1) * golden for j < _BLOCK: a block's counters are one add away
 _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64)
 _STEPS *= np.uint64(_GOLDEN)
+
+# Failures of the main test handled together, in one pass of whole-array
+# operations per attempt: all of a call's, or those of about 8 _BLOCK normals
+# (1.5% of them fail) of a longer call, so memory stays bounded
+_SLOW_BATCH = 4096
+
+_TAIL_R = 3.6541528853610088
+_LAYER_AREA = 4.92867323399e-3
+_COMPANION_XOR = 0x5851F42D4C957F2D
+
+
+def _ziggurat_tables() -> tuple:
+    """X (float64), K (uint64) and F (float64) of the module docstring."""
+    r, v = _TAIL_R, _LAYER_AREA
+    x = [0.0] * 256
+    x[255] = r
+    for i in range(255, 1, -1):
+        x[i - 1] = math.sqrt(-2.0 * math.log(v / x[i] + math.exp(-0.5 * x[i] * x[i])))
+    x[0] = v / math.exp(-0.5 * r * r)
+    k = [int(r / x[0] * 2.0 ** 53), 0] + [int(x[i - 1] / x[i] * 2.0 ** 53) for i in range(2, 256)]
+    f = [1.0] + [math.exp(-0.5 * t * t) for t in x[1:]]
+    return np.array(x), np.array(k, dtype=np.uint64), np.array(f)
+
+
+_X, _K, _F = _ziggurat_tables()
+# indexed by the low 9 bits j of a word: the layer's K, and its X * 2^-53 signed
+_K9 = np.concatenate((_K, _K))
+_S9 = np.concatenate((_X, -_X)) * _TO_UNIT
+# the wedge test's F_i and F_(i-1) - F_i (layer 0 takes the tail instead)
+_F9 = np.concatenate((_F, _F))
+_DF9 = np.concatenate((np.roll(_F, 1) - _F,) * 2)
+
+
+def normal_words(k: int) -> int:
+    """Words that ``normals(k)`` moves the counter past: 2 ceil(k/2)."""
+    return 2 * ((k + 1) // 2)
 
 
 def _mix(z: np.ndarray, t: np.ndarray) -> None:
@@ -135,34 +208,87 @@ class CounterStream:
 
     def normals(self, k: int, window: tuple | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """Next k standard normal deviates (Box-Muller), written over the
-        words they come from: r cos and r sin take the places of u1 and u2.
+        """Next k standard normal deviates (ziggurat), normal e from word
+        c + e, written over the words they come from.
 
-        With ``window = (lo, hi)``, only Box-Muller pairs [lo, hi) of the m,
-        that is elements [lo, hi) and [m + lo, m + hi): r cos stacked over
-        r sin of the same pairs, into ``out`` if given. Only the words of
-        those pairs are drawn, and the counter still moves past all 2m."""
+        With ``window = (lo, hi)``, only elements [lo, hi) and [m + lo,
+        m + hi), m = ceil(k/2), stacked, into ``out`` if given. Only their
+        words are drawn, and the counter still moves past all 2m."""
         m = (k + 1) // 2
+        c = self.counter
         if window is None:
-            w = self.words(2 * m)
-            first, second = w[:m], w[m:]
+            w = self.words(normal_words(k))
             out = w.view(np.float64)
+            runs = ((w, c, 0),)
         else:
-            first, second = self._window_words(m, 2 * m, window)
-            if out is None:
-                out = np.empty(2 * len(first))
-        b = len(first)
-        r, ang = np.empty(min(b, _BLOCK)), np.empty(min(b, _BLOCK))
-        for lo in range(0, b, _BLOCK):
-            hi = min(lo + _BLOCK, b)
-            u1 = _to_unit(first[lo:hi], r[:hi - lo])
-            u2 = _to_unit(second[lo:hi], ang[:hi - lo])
-            np.subtract(1.0, u1, out=u1)  # (0, 1], keeps the log finite
-            np.log(u1, out=u1)
-            np.multiply(u1, -2.0, out=u1)
-            np.sqrt(u1, out=u1)
-            np.multiply(u2, 2.0 * np.pi, out=u2)
-            for part, trig in ((out[lo:hi], np.cos), (out[b + lo:b + hi], np.sin)):
-                trig(u2, out=part)
-                np.multiply(part, u1, out=part)
-        return out[:k] if window is None else out[:2 * b]
+            first, second = self._window_words(m, normal_words(k), window)
+            b = len(first)
+            out = np.empty(2 * b) if out is None else out[:2 * b]
+            runs = ((first, c + window[0], 0), (second, c + m + window[0], b))
+        size = min(len(runs[0][0]), _BLOCK)
+        # the layers' K and then their scales take turns in kk
+        j, kk, miss = np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size, bool)
+        scale = kk.view(np.float64)
+        slow, pending = [], 0  # (positions in out, counters, j, u) of words that fail
+        for w, start, at in runs:
+            for lo in range(0, len(w), _BLOCK):
+                ww = w[lo:lo + _BLOCK]
+                n = len(ww)
+                ji = np.bitwise_and(ww, 511, out=j[:n]).view(np.intp)
+                np.take(_K9, ji, out=kk[:n], mode="clip")
+                np.right_shift(ww, 11, out=ww)
+                np.greater_equal(ww, kk[:n], out=miss[:n])
+                pos = np.flatnonzero(miss[:n])
+                slow.append((pos + (at + lo), pos.astype(np.uint64) + np.uint64(
+                    (start + lo) & _MASK), ji[pos], ww[pos]))
+                pending += len(pos)
+                np.take(_S9, ji, out=scale[:n], mode="clip")
+                np.multiply(ww, scale[:n], out=out[at + lo:at + lo + n])
+                if pending >= _SLOW_BATCH:
+                    self._fill_slow(out, slow)
+                    slow, pending = [], 0
+        if pending:
+            self._fill_slow(out, slow)
+        return out[:k] if window is None else out
+
+    def _fill_slow(self, out: np.ndarray, slow: list) -> None:
+        pos, counters, j, u = (np.concatenate(parts) for parts in zip(*slow))
+        out[pos] = self._slow_normals(counters, j, u)
+
+    def _slow_normals(self, counters: np.ndarray, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The values of normals whose word failed the main test, from their
+        counters, low 9 bits j and top 53 bits u: the wedge test or the tail
+        loop, attempt by attempt on whole arrays (module docstring)."""
+        h = (counters + np.uint64(1)) * np.uint64(_GOLDEN) + np.uint64(
+            (self._base ^ _COMPANION_XOR) & _MASK)
+        _mix(h, np.empty_like(h))
+        z = np.empty(len(h))
+        todo = np.arange(len(h))
+        a = 0
+        while len(todo):
+            # rows A and B of attempt a
+            ab = h + np.array([[((2 * a + 1) * _GOLDEN) & _MASK],
+                               [((2 * a + 2) * _GOLDEN) & _MASK]], dtype=np.uint64)
+            _mix(ab, np.empty_like(ab))
+            ua = (ab[0] >> np.uint64(11)) * _TO_UNIT
+            ub = ab[1] >> np.uint64(11)
+            jb = (ab[1] & np.uint64(511)).view(np.intp)
+            scale = _S9[j]
+            zw = u * scale
+            # wedge: u's point of layer i >= 1 under the curve; otherwise B is
+            # a fresh main word
+            hit = _F9[j] + ua * _DF9[j] < np.exp(-0.5 * (zw * zw))
+            z[todo] = np.where(hit, zw, ub * _S9[jb])
+            more = ~hit & (ub >= _K9[jb])
+            # tail (layer 0), about 2% of these: Marsaglia's loop beyond r
+            t = np.flatnonzero((j & 255) == 0)
+            if len(t):
+                tx = -np.log(1.0 - ua[t]) / _TAIL_R
+                ty = -np.log(1.0 - ub[t] * _TO_UNIT)
+                z[todo[t]] = np.copysign(_TAIL_R + tx, scale[t])
+                more[t] = ty + ty < tx * tx
+                jb[t] = j[t]
+            keep = np.flatnonzero(more)
+            j, u, h, todo = jb[keep], ub[keep], h[keep], todo[keep]
+            a += 1
+        return z

@@ -24,7 +24,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._rng import CounterStream
+from ._rng import CounterStream, normal_words
 from ._series import ball_polynomial
 from .core import (
     BallGeometry,
@@ -337,7 +337,7 @@ def _master_unnormalized_mc(geometry: BallGeometry, density: DensityModel,
 
     def draw(k):
         c_u = stream.counter
-        stream.counter += 2 * ((k * n + 1) // 2)  # the words of normals(k n)
+        stream.counter += normal_words(k * n)
         xn = _cap_heights(geometry, s, stream, k)
         c_p = stream.counter
 

@@ -14,10 +14,12 @@ Substreams with distinct stream ids are independent, and histogram merging is
 associative and commutative, so parallel runs give identical results
 regardless of how the work is split.
 
-A batch of 2P points is binned as the P pairs (x[i], x[P + i]). Since the
-stream is counter-based, the direct samplers (uniform, Gaussian, shells,
-monomials) can draw any pair window [lo, hi) alone: rows [lo, hi) stacked
-over rows P + [lo, hi), from exactly their own words. ``substream_histogram``
+Normals come from the ziggurat of ``_rng``, normal e of a draw from word
+c + e alone (its rare slow path reads a companion sequence keyed by that
+counter). A batch of 2P points is binned as the P pairs (x[i], x[P + i]).
+Since the stream is counter-based, the direct samplers (uniform, Gaussian,
+shells, monomials) can draw any pair window [lo, hi) alone: rows [lo, hi)
+stacked over rows P + [lo, hi), from exactly their own words. ``substream_histogram``
 walks a substream window by window, so for direct samplers memory is bounded
 by the window (about 4 ``_rng._BLOCK`` numbers, plus sum(e)/2 + 1 uniforms
 per point for a monomial), whatever the pair count. The rejection samplers
@@ -166,8 +168,8 @@ def _rows_per_block(n: int) -> int:
 
 def _normal_rows(stream: CounterStream, n: int, count: int, window) -> np.ndarray:
     """The next count x n normals as rows, or the rows of a pair window: a
-    batch of 2P rows has m = Pn Box-Muller pairs, row i is r cos of pairs
-    [n i, n i + n) and row P + i is r sin of the same pairs."""
+    batch of 2P rows takes 2m = 2Pn words, one per normal, and row i holds
+    the normals of words [n i, n i + n), row P + i those of m + [n i, n i + n)."""
     if window is None:
         return stream.normals(count * n).reshape(-1, n)
     size = 2 * n * (window.hi - window.lo)

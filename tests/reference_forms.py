@@ -32,12 +32,14 @@ the corrected forms AND confirm that the misprinted ones genuinely disagree.
 from bisect import bisect_left
 from fractions import Fraction as F
 
+import itertools
 import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import betaincc
 
+from nballdist import _rng
 from nballdist.arbitrary import _angular_rule, _cap_rule
 from nballdist.core import density_value
 
@@ -416,12 +418,16 @@ class OneShotStream:
         return (self.words(k) >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
     def normals(self, k):
-        m = (k + 1) // 2
-        u1 = 1.0 - self.uniforms(m)
-        u2 = self.uniforms(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = 2.0 * np.pi * u2
-        return np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:k]
+        """The main test on the whole array; the words that fail it go to
+        the per-element ``ziggurat_normal``."""
+        c = self.counter
+        w = self.words(2 * ((k + 1) // 2))[:k]
+        j = (w & np.uint64(511)).astype(np.intp)
+        u = w >> np.uint64(11)
+        z = u * (np.where(j >= 256, -_rng._X[j & 255], _rng._X[j & 255]) * 2.0 ** -53)
+        for e in np.flatnonzero(u >= _rng._K[j & 255]):
+            z[e] = ziggurat_normal(int(self._base), c + int(e))[0]
+        return z
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +489,62 @@ def monomial_batch(exponents, R, seed, stream, count):
     return np.copysign(R * np.sqrt(g / total[:, None]), z)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _mix_int(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix_base(seed, stream):
+    return _mix_int((_mix_int(seed ^ 0xA3EC647659359ACD) + stream * 0x9E3779B97F4A7C15) & _MASK64)
+
+
 def splitmix_word(seed, stream, i):
     """word(i) of the _rng docstring, in plain Python integers."""
-    mask = (1 << 64) - 1
+    return _mix_int((splitmix_base(seed, stream) + (i + 1) * 0x9E3779B97F4A7C15) & _MASK64)
 
-    def mix(z):
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        return z ^ (z >> 31)
 
-    base = mix((mix(seed ^ 0xA3EC647659359ACD) + stream * 0x9E3779B97F4A7C15) & mask)
-    return mix((base + (i + 1) * 0x9E3779B97F4A7C15) & mask)
+_ZIGGURAT_TABLES = ([float(x) for x in _rng._X], [int(k) for k in _rng._K],
+                    [float(f) for f in _rng._F])
+
+
+def ziggurat_normal(base, i):
+    """The normal of word i of the sequence with the given base, one
+    element in plain Python: Marsaglia and Tsang's loop as the _rng
+    docstring states it, with the words, companion words and tests in
+    Python integers and floats. exp and log are numpy's, as in the package.
+    Returns (value, path), path listing "wedge" or "tail" per attempt
+    after the main test ([] if the main test accepted)."""
+    golden, r = 0x9E3779B97F4A7C15, 3.6541528853610088
+    X, K, fx = _ZIGGURAT_TABLES
+    w = _mix_int((base + (i + 1) * golden) & _MASK64)
+    h = _mix_int(((base ^ 0x5851F42D4C957F2D) + (i + 1) * golden) & _MASK64)
+    path = []
+    for a in itertools.count():
+        layer, negative, u = w & 255, bool(w & 256), w >> 11
+        z = u * ((-X[layer] if negative else X[layer]) * 2.0 ** -53)
+        if a == 0 and u < K[layer]:
+            return z, path
+        wa = _mix_int((h + (2 * a + 1) * golden) & _MASK64)
+        wb = _mix_int((h + (2 * a + 2) * golden) & _MASK64)
+        if layer == 0:
+            path.append("tail")
+            x = -float(np.log(1.0 - (wa >> 11) * 2.0 ** -53)) / r
+            y = -float(np.log(1.0 - (wb >> 11) * 2.0 ** -53))
+            if y + y >= x * x:
+                return (-(r + x) if negative else r + x), path
+            continue
+        path.append("wedge")
+        if fx[layer] + (wa >> 11) * 2.0 ** -53 * (fx[layer - 1] - fx[layer]) < float(
+                np.exp(-0.5 * (z * z))):
+            return z, path
+        w = wb
+        layer, u = w & 255, w >> 11
+        if u < K[layer]:
+            return u * ((-X[layer] if w & 256 else X[layer]) * 2.0 ** -53), path
 
 
 def master_quad_per_rotation(geometry, density, s, nodes):

@@ -551,7 +551,8 @@ def test_pair_windows_match_the_whole_batch_oracle(n, density, oracle, pairs):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_odd_counts_keep_the_whole_batch(n):
-    # the middle row of an odd batch mixes r cos and r sin; it is drawn whole
+    # the middle row of an odd batch takes normals from both halves of the
+    # layout, below and from m = ceil(kn/2); it is drawn whole
     g = BallGeometry(n, 1.5)
     got = sample_density(g, Uniform(), SamplerConfig(42, 2001, 3))
     assert np.array_equal(got, ref.uniform_ball_batch(n, 1.5, 42, 3, 2001))
@@ -572,8 +573,8 @@ def test_window_requests_are_checked():
 
 
 def test_window_draws_only_its_own_words():
-    # pairs [lo, hi) of 2P points in n dimensions: u1 at counters n[lo, hi),
-    # u2 at m + n[lo, hi) with m = Pn, radii at 2m + [lo, hi) and 2m + P + [lo, hi)
+    # pairs [lo, hi) of 2P points in n dimensions: normals at counters n[lo, hi)
+    # and m + n[lo, hi) with m = Pn, radii at 2m + [lo, hi) and 2m + P + [lo, hi)
     from nballdist.montecarlo import PairWindow
     calls = []
     words = CounterStream.words
@@ -595,16 +596,16 @@ def test_window_draws_only_its_own_words():
 # Seed-42 counts, the first six recorded before pair windows existed: any
 # change to the stream, a sampler or the pair layout changes them.
 PINNED_COUNTS = [
-    (BallGeometry(1), Uniform(), [672, 624, 497, 445, 339, 242, 136, 45]),
-    (BallGeometry(3), Uniform(), [48, 250, 475, 648, 676, 563, 279, 61]),
-    (BallGeometry(9), Uniform(), [0, 3, 78, 385, 978, 1094, 440, 22]),
-    (BallGeometry(3, 8.0), Gaussian(1.0), [1327, 1534, 139, 0, 0, 0, 0, 0]),
-    (BallGeometry(3), MultiShell((0.5, 1.0), (1.0, 2.0)), [45, 227, 453, 613, 682, 596, 310, 74]),
+    (BallGeometry(1), Uniform(), [679, 608, 510, 472, 331, 222, 138, 40]),
+    (BallGeometry(3), Uniform(), [39, 225, 488, 650, 695, 554, 294, 55]),
+    (BallGeometry(9), Uniform(), [0, 3, 78, 386, 974, 1120, 410, 29]),
+    (BallGeometry(3, 8.0), Gaussian(1.0), [1310, 1549, 139, 2, 0, 0, 0, 0]),
+    (BallGeometry(3), MultiShell((0.5, 1.0), (1.0, 2.0)), [37, 207, 452, 624, 649, 608, 362, 61]),
     (BallGeometry(4), MultiShell((0.3, 0.6, 1.0), (3.0, 1.0, 2.0)),
-     [9, 106, 328, 622, 811, 675, 396, 53]),
-    # one normal per coordinate and unit exponentials: chi-square 6.44, 7 dof,
+     [8, 97, 368, 592, 781, 730, 365, 59]),
+    # one normal per coordinate and unit exponentials: chi-square 2.69, 7 dof,
     # against pdf_example_3d
-    (BallGeometry(3), CartesianMonomial((2, 2, 2)), [96, 222, 214, 388, 571, 660, 581, 268]),
+    (BallGeometry(3), CartesianMonomial((2, 2, 2)), [78, 208, 192, 382, 613, 682, 577, 268]),
     # radii rejected on the unit ball, directions from points of the unit disk
     (BallGeometry(3), RadialPolynomial((0, 0, 1)), [52, 237, 347, 499, 607, 692, 450, 116]),
     (BallGeometry(4), ParabolicRadial(0.5), [8, 119, 418, 706, 802, 651, 260, 36]),
@@ -619,8 +620,8 @@ def test_pinned_seed_42_histograms(g, density, counts):
 
 
 @pytest.mark.parametrize("n,digest", [
-    (2, "0cab50a262cec9904bef8bbb3109d26d2a0ffc8c461c4e5a3d84b212edb0a2a2"),
-    (3, "a8fcd2d7a441ccdcf8d45c2b5a92484d9dfd49919ba2df24e94e2a149836ef14"),
+    (2, "8c9189655680169e1932db26d5247a5692ca74c1398e3f672debaea9d09e49e9"),
+    (3, "60e9a5084c3d675c82a5fc22b172df6a748b79d62977d4ad3011ef5fac76be89"),
 ])
 def test_pinned_seed_42_general_cartesian_points(n, digest):
     # the uniform-ball proposal of a GeneralCartesian: the radial profiles'
@@ -631,10 +632,10 @@ def test_pinned_seed_42_general_cartesian_points(n, digest):
 
 
 @pytest.mark.parametrize("g,density,counts", [
-    (BallGeometry(3), Uniform(), [261, 1548, 3166, 4436, 4505, 3741, 1971, 383]),
-    (BallGeometry(3, 8.0), Gaussian(1.0), [8465, 10605, 933, 8, 0, 0, 0, 0]),
+    (BallGeometry(3), Uniform(), [253, 1520, 3179, 4389, 4620, 3640, 2030, 380]),
+    (BallGeometry(3, 8.0), Gaussian(1.0), [8499, 10557, 943, 12, 0, 0, 0, 0]),
     (BallGeometry(3), MultiShell((0.5, 1.0), (1.0, 2.0)),
-     [250, 1494, 2910, 4058, 4541, 4112, 2208, 438]),
+     [248, 1474, 2810, 4130, 4565, 4061, 2267, 456]),
 ], ids=["uniform", "gauss", "shells"])
 def test_pinned_seed_42_parallel_histograms(g, density, counts):
     from nballdist.cli import empirical_pair_pdf_parallel
